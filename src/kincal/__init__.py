@@ -14,13 +14,14 @@ from .errors import (ConfigurationError, DimensionError, ExtrapolationError,
                      InvalidParameterError, KincalError, MatchingFailure,
                      ParseError, SingularSystemError)
 from .geomfilter import (ORIGIN_POSITION_RULE, VIEW_DIRECTION_RULE,
-                         FilteredCloud, OrientedPoint, compute_scale,
+                         FilteredCloud, compute_scale,
                          estimate_normal, estimate_normals, filter_cloud,
                          normal_overlap, orient_normal)
 from .kincore import (EESegment, JointKind, KinematicModel, ParamMask,
-                      Segment, default_mask, denormalize_params,
-                      ee_segment_transform, forward_kinematics, joint_transform,
-                      load_model, normalize_params, pack_params, save_model,
+                      Segment, chain_derivatives, chain_poses, default_mask,
+                      denormalize_params, ee_segment_transform,
+                      forward_kinematics, joint_transform, load_model,
+                      normalize_params, pack_params, save_model,
                       static_segment_transform, unpack_params)
 from .matching import (Match, MatchSet, SpatialIndex, build_index,
                        find_matches, match_all, validate_matches)

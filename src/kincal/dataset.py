@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ExtrapolationError, ParseError
-from .kincore import KinematicModel, forward_kinematics
+from .kincore import KinematicModel, chain_poses
 
 
 class SensorKind(enum.Enum):
@@ -85,7 +85,7 @@ def project_to_base(ds: ScanDataset, model: KinematicModel) -> ProjectedCloud:
     """Map every valid point through the chain at its own joint state.
 
     Cells sharing a joint vector (e.g. all pixels of one camera frame)
-    share a single forward-kinematics evaluation.
+    share one frame of a single batched chain evaluation.
     """
     if ds.joint_count != model.joint_count:
         raise DimensionError(
@@ -93,27 +93,13 @@ def project_to_base(ds: ScanDataset, model: KinematicModel) -> ProjectedCloud:
         )
     out = np.full_like(ds.points, np.nan)
     origins = np.full_like(ds.points, np.nan)
-    if not np.any(ds.valid):
-        return ProjectedCloud(out, ds.valid.copy(), origins)
-
-    flat_points = ds.points.reshape(-1, 3)
-    flat_valid = ds.valid.reshape(-1)
-    flat_out = out.reshape(-1, 3)
-    flat_org = origins.reshape(-1, 3)
-
-    if ds.joint_count == 0:
-        pose = forward_kinematics(model, np.zeros(0))
-        flat_out[flat_valid] = pose.apply(flat_points[flat_valid])
-        flat_org[flat_valid] = pose.translation
-    else:
-        flat_joints = ds.joints.reshape(-1, ds.joint_count)
-        uniq, inverse = np.unique(flat_joints[flat_valid], axis=0, return_inverse=True)
-        sel = np.flatnonzero(flat_valid)
-        for u, joint_vec in enumerate(uniq):
-            pose = forward_kinematics(model, joint_vec)
-            cells = sel[inverse == u]
-            flat_out[cells] = pose.apply(flat_points[cells])
-            flat_org[cells] = pose.translation
+    uniq, inverse = np.unique(ds.joints[ds.valid], axis=0, return_inverse=True)
+    poses = chain_poses(model, uniq)
+    inverse = inverse.reshape(-1)
+    translations = poses[:, :3, 3].take(inverse, axis=0)
+    rotations = poses[:, :3, :3].take(inverse, axis=0)
+    out[ds.valid] = np.einsum("nij,nj->ni", rotations, ds.points[ds.valid]) + translations
+    origins[ds.valid] = translations
     return ProjectedCloud(out, ds.valid.copy(), origins)
 
 

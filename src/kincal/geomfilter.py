@@ -24,15 +24,6 @@ ORIGIN_POSITION_RULE = "origin_position"
 
 
 @dataclass(frozen=True)
-class OrientedPoint:
-    position: np.ndarray
-    normal: np.ndarray
-    row: int
-    col: int
-    dataset_id: int
-
-
-@dataclass(frozen=True)
 class FilteredCloud:
     """Validated points of one dataset, with oriented unit normals.
 
@@ -48,10 +39,6 @@ class FilteredCloud:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def __getitem__(self, k: int) -> OrientedPoint:
-        return OrientedPoint(self.positions[k], self.normals[k],
-                             int(self.rows[k]), int(self.cols[k]), self.dataset_id)
 
 
 def _normalize_rows(vectors, scale_floor):

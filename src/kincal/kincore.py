@@ -1,4 +1,4 @@
-"""Kinematic chain model: segments, forward kinematics, parameter packing.
+"""Kinematic chain model: segments, the batched chain kernel, parameter packing.
 
 The chain alternates static segments and joints::
 
@@ -13,6 +13,12 @@ The packed parameter vector is laid out base-to-tip, per segment
 (alpha, beta, x, y), with the terminal segment packed as
 (alpha, beta, gamma, x, y, z).  This order is also the on-disk order of
 the model file.
+
+``chain_poses`` and ``chain_derivatives`` are the only chain evaluators.
+Both take a (frames, joint_count) batch of joint vectors and return the
+poses, or their derivatives by packed parameters, of every frame at once;
+``forward_kinematics`` is ``chain_poses`` for a single frame.  The
+per-segment transforms are scalar reference forms of the same factors.
 """
 
 from __future__ import annotations
@@ -157,10 +163,14 @@ def default_mask(model: KinematicModel) -> ParamMask:
 
 
 def check_joints(model: KinematicModel, joints) -> np.ndarray:
-    joints = np.asarray(joints, dtype=float)
-    if joints.shape != (model.joint_count,):
+    """Validate a (frames, joint_count) batch of joint vectors."""
+    try:
+        joints = np.asarray(joints, dtype=float)
+    except ValueError:  # rows of different lengths
+        raise DimensionError("joint vectors differ in length") from None
+    if joints.ndim != 2 or joints.shape[1] != model.joint_count:
         raise DimensionError(
-            f"joint vector length {joints.shape} != joint count {model.joint_count}"
+            f"joint batch shape {joints.shape} != (frames, {model.joint_count})"
         )
     if not np.all(np.isfinite(joints)):
         raise InvalidParameterError("joint vector contains non-finite values")
@@ -193,20 +203,93 @@ def joint_transform(kind: JointKind, q: float) -> RigidTransform:
     raise InvalidParameterError(f"unknown joint kind {kind!r}")
 
 
-def forward_kinematics(model: KinematicModel, joints) -> RigidTransform:
-    """Pose of the terminal (sensor) frame in the base frame."""
+# --- batched chain kernel ----------------------------------------------------
+#
+# The chain is a product of elementary factors exp(v G), one per packed
+# parameter and one per joint, where G generates a rotation about or a
+# translation along the local x, y or z axis.  Since d/dv exp(v G) =
+# exp(v G) G, the derivative by the parameter of factor i is
+# prefix[i + 1] @ G @ suffix[i + 1] in terms of the partial products.
+
+_RX, _RY, _RZ, _TX, _TY, _TZ = range(6)
+_SEGMENT_AXES = (_RX, _RY, _TX, _TY)            # packed (alpha, beta, x, y)
+_EE_AXES = (_RX, _RY, _RZ, _TX, _TY, _TZ)       # (alpha, beta, gamma, x, y, z)
+_JOINT_AXES = {JointKind.REVOLUTE: _RZ, JointKind.PRISMATIC: _TZ}
+
+_GENERATORS = np.zeros((6, 4, 4))
+for _axis, (_i, _j) in enumerate(((1, 2), (2, 0), (0, 1))):
+    _GENERATORS[_axis, _j, _i] = 1.0
+    _GENERATORS[_axis, _i, _j] = -1.0
+    _GENERATORS[3 + _axis, _axis, 3] = 1.0
+_GENERATORS_SQ = _GENERATORS @ _GENERATORS
+
+
+def _elementary(axes, values) -> np.ndarray:
+    """exp(v G) for G = _GENERATORS[axes], broadcast over ``values``.
+
+    Rodrigues' formula I + sin(v) G + (1 - cos v) G^2 for rotations; a
+    translation generator squares to zero, so I + v G for those.
+    """
+    axes = np.asarray(axes, dtype=int)
+    first = np.where(axes < 3, np.sin(values), values)[..., None, None]
+    second = (1.0 - np.cos(values))[..., None, None]
+    return np.eye(4) + first * _GENERATORS[axes] + second * _GENERATORS_SQ[axes]
+
+
+def _factors(model: KinematicModel, joints: np.ndarray):
+    """Elementary factors base to tip as (axis, packed index, matrix) for
+    checked ``joints``.
+
+    Parameter factors are (4, 4); joint factors are (F, 4, 4), built as
+    they are reached, and carry the packed index None.
+    """
+    param_axes = _SEGMENT_AXES * (1 + len(model.links)) + _EE_AXES
+    param_mats = _elementary(param_axes, pack_params(model))
+    joint_axes = [_JOINT_AXES[kind] for kind in model.joint_kinds]
+    for p, axis in enumerate(param_axes):
+        yield axis, p, param_mats[p]
+        # joint i follows y, the last scalar of segment i
+        i = p // 4
+        if p % 4 == 3 and i < len(joint_axes):
+            yield joint_axes[i], None, _elementary(joint_axes[i], joints[:, i])
+
+
+def chain_poses(model: KinematicModel, joints) -> np.ndarray:
+    """Terminal (sensor) pose in the base frame for each row of the
+    (F, joint_count) ``joints``: an (F, 4, 4) array."""
     joints = check_joints(model, joints)
-    pose = static_segment_transform(model.base)
-    idx = 0
-    if model.base.joint is not None:
-        pose = pose @ joint_transform(model.base.joint, joints[idx])
-        idx += 1
-    for link in model.links:
-        pose = pose @ static_segment_transform(link)
-        if link.joint is not None:
-            pose = pose @ joint_transform(link.joint, joints[idx])
-            idx += 1
-    return pose @ ee_segment_transform(model.ee)
+    pose = np.broadcast_to(np.eye(4), (joints.shape[0], 4, 4))
+    for _, _, mat in _factors(model, joints):
+        pose = pose @ mat
+    return pose
+
+
+def chain_derivatives(model: KinematicModel, joints, free) -> np.ndarray:
+    """Pose derivatives dT/dk by the packed indices ``free`` for each row
+    of the (F, joint_count) ``joints``: an (F, len(free), 4, 4) array."""
+    joints = check_joints(model, joints)
+    factors = list(_factors(model, joints))
+    prefix = [np.broadcast_to(np.eye(4), (joints.shape[0], 4, 4))]
+    for _, _, mat in factors:
+        prefix.append(prefix[-1] @ mat)
+    suffix = [np.eye(4)]
+    for _, _, mat in reversed(factors):
+        suffix.append(mat @ suffix[-1])
+    suffix.reverse()
+    slot = {p: k for k, (_, p, _) in enumerate(factors) if p is not None}
+    free = np.asarray(free, dtype=int)
+    out = np.empty((joints.shape[0], free.size, 4, 4))
+    for col, p in enumerate(free):
+        k = slot[int(p)]
+        out[:, col] = prefix[k + 1] @ _GENERATORS[factors[k][0]] @ suffix[k + 1]
+    return out
+
+
+def forward_kinematics(model: KinematicModel, joints) -> RigidTransform:
+    """Pose of the terminal (sensor) frame in the base frame at one joint
+    vector; ``chain_poses`` evaluates a batch."""
+    pose = chain_poses(model, np.asarray(joints, dtype=float)[None])[0]
+    return RigidTransform(pose[:3, :3], pose[:3, 3], _skip_checks=True)
 
 
 # --- parameter vector ------------------------------------------------------
@@ -264,98 +347,6 @@ def denormalize_params(vector, s: float, template: KinematicModel) -> np.ndarray
     flags = translation_flags(template)
     vector[flags] *= s
     return vector
-
-
-# --- chain factorization for analytic derivatives --------------------------
-
-_DX = np.zeros((4, 4)); _DX[0, 3] = 1.0
-_DY = np.zeros((4, 4)); _DY[1, 3] = 1.0
-_DZ = np.zeros((4, 4)); _DZ[2, 3] = 1.0
-
-
-def _hom(rotation, translation=(0.0, 0.0, 0.0)):
-    out = np.eye(4)
-    out[:3, :3] = rotation
-    out[:3, 3] = translation
-    return out
-
-
-def _rot_derivative(axis_builder, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    if axis_builder is rot_x:
-        return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
-    if axis_builder is rot_y:
-        return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-
-
-def chain_factors(model: KinematicModel, joints):
-    """Elementary 4x4 factors of the chain plus per-factor derivatives.
-
-    Returns a list of (matrix, {param_index: d_matrix}) in product order.
-    Joint factors carry no parameters.
-    """
-    joints = check_joints(model, joints)
-    factors = []
-
-    def add_segment(seg, offset):
-        factors.append((_hom(rot_x(seg.alpha)),
-                        {offset: np.pad(_rot_derivative(rot_x, seg.alpha), ((0, 1), (0, 1)))}))
-        factors.append((_hom(rot_y(seg.beta)),
-                        {offset + 1: np.pad(_rot_derivative(rot_y, seg.beta), ((0, 1), (0, 1)))}))
-        factors.append((_hom(np.eye(3), (seg.x, seg.y, 0.0)),
-                        {offset + 2: _DX, offset + 3: _DY}))
-
-    idx = 0
-    add_segment(model.base, 0)
-    if model.base.joint is not None:
-        factors.append((joint_transform(model.base.joint, joints[idx]).matrix, {}))
-        idx += 1
-    for i, link in enumerate(model.links):
-        add_segment(link, 4 * (i + 1))
-        if link.joint is not None:
-            factors.append((joint_transform(link.joint, joints[idx]).matrix, {}))
-            idx += 1
-    o = 4 * (1 + len(model.links))
-    ee = model.ee
-    factors.append((_hom(rot_x(ee.alpha)),
-                    {o: np.pad(_rot_derivative(rot_x, ee.alpha), ((0, 1), (0, 1)))}))
-    factors.append((_hom(rot_y(ee.beta)),
-                    {o + 1: np.pad(_rot_derivative(rot_y, ee.beta), ((0, 1), (0, 1)))}))
-    factors.append((_hom(rot_z(ee.gamma)),
-                    {o + 2: np.pad(_rot_derivative(rot_z, ee.gamma), ((0, 1), (0, 1)))}))
-    factors.append((_hom(np.eye(3), (ee.x, ee.y, ee.z)),
-                    {o + 3: _DX, o + 4: _DY, o + 5: _DZ}))
-    return factors
-
-
-def transform_and_derivatives(model: KinematicModel, joints, free_indices):
-    """Chain transform T and dT/dk for the requested packed indices.
-
-    Returns (T, dT) with T of shape (4, 4) and dT of shape (F, 4, 4)
-    ordered like ``free_indices``.
-    """
-    free_indices = np.asarray(free_indices, dtype=int)
-    factors = chain_factors(model, joints)
-    n = len(factors)
-    prefix = [np.eye(4)]
-    for mat, _ in factors:
-        prefix.append(prefix[-1] @ mat)
-    suffix = [np.eye(4)] * (n + 1)
-    acc = np.eye(4)
-    for i in range(n - 1, -1, -1):
-        acc = factors[i][0] @ acc
-        suffix[i] = acc
-    transform = prefix[-1]
-
-    position = {int(p): j for j, p in enumerate(free_indices)}
-    deriv = np.zeros((free_indices.size, 4, 4))
-    for i, (_, params) in enumerate(factors):
-        for param_idx, d_mat in params.items():
-            slot = position.get(param_idx)
-            if slot is not None:
-                deriv[slot] += prefix[i] @ d_mat @ suffix[i + 1]
-    return transform, deriv
 
 
 # --- model file I/O ---------------------------------------------------------

@@ -21,9 +21,10 @@ from .dataset import ProjectedCloud, ScanDataset, project_to_base
 from .errors import (ConfigurationError, MatchingFailure, SingularSystemError)
 from .geomfilter import (VIEW_DIRECTION_RULE, FilteredCloud, compute_scale,
                          filter_cloud)
-from .kincore import (JointKind, KinematicModel, ParamMask, default_mask,
-                      denormalize_params, forward_kinematics, normalize_params,
-                      pack_params, transform_and_derivatives, unpack_params)
+from .kincore import (JointKind, KinematicModel, ParamMask, chain_derivatives,
+                      chain_poses, default_mask, denormalize_params,
+                      forward_kinematics, normalize_params, pack_params,
+                      unpack_params)
 from .matching import MatchSet, match_all, validate_matches
 
 
@@ -49,9 +50,6 @@ class CalibrationConfig:
     lm_lambda0: float = 1e-4
     lm_max_iterations: int = 25
     lm_gradient_tol: float = 1e-10
-    # normalization variants for non-uniform scenes
-    scale_from_all: bool = False
-    center_shift: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -108,12 +106,8 @@ class CorrespondenceSet:
         return self.points_a.shape[0]
 
     def frame_transforms(self, model: KinematicModel) -> np.ndarray:
-        out = np.empty((self.frame_joints.shape[0], 4, 4))
-        for f, joints in enumerate(self.frame_joints):
-            if self.frame_frozen[f]:
-                out[f] = self.frozen_transforms[f]
-            else:
-                out[f] = forward_kinematics(model, joints).matrix
+        out = chain_poses(model, self.frame_joints)
+        out[self.frame_frozen] = self.frozen_transforms[self.frame_frozen]
         return out
 
     def residuals(self, model: KinematicModel,
@@ -129,24 +123,22 @@ class CorrespondenceSet:
     def jacobian(self, model: KinematicModel, free_indices) -> np.ndarray:
         """Analytic d residual / d k over the masked-in packed indices."""
         free_indices = np.asarray(free_indices, dtype=int)
+        frame_count = self.frame_joints.shape[0]
+        deriv = chain_derivatives(model, self.frame_joints, free_indices)
+        deriv = deriv[:, :, :3, :].reshape(frame_count, free_indices.size, 12)
         jac = np.zeros((len(self), free_indices.size))
-        for f, joints in enumerate(self.frame_joints):
-            if self.frame_frozen[f]:
-                continue
-            rows_a = np.flatnonzero(self.frame_a == f)
-            rows_b = np.flatnonzero(self.frame_b == f)
-            if rows_a.size == 0 and rows_b.size == 0:
-                continue
-            _, deriv = transform_and_derivatives(model, joints, free_indices)
-            deriv = deriv[:, :3, :]
-            if rows_a.size:
-                jac[rows_a] += np.einsum("pij,nj,ni->np", deriv,
-                                         self.points_a[rows_a],
-                                         self.normals[rows_a])
-            if rows_b.size:
-                jac[rows_b] -= np.einsum("pij,nj,ni->np", deriv,
-                                         self.points_b[rows_b],
-                                         self.normals[rows_b])
+        for frame, points, sign in ((self.frame_a, self.points_a, 1.0),
+                                    (self.frame_b, self.points_b, -1.0)):
+            # rows sorted by frame: each frame owns one contiguous block
+            order = np.argsort(frame, kind="stable")
+            bounds = np.searchsorted(frame, np.arange(frame_count + 1),
+                                     sorter=order)
+            moving = (np.diff(bounds) > 0) & ~self.frame_frozen
+            for f in np.flatnonzero(moving):
+                rows = order[bounds[f]:bounds[f + 1]]
+                # d r / d T[i, j] = normal[i] * point[j] for the row's frame
+                outer = np.einsum("ni,nj->nij", self.normals[rows], points[rows])
+                jac[rows] += outer.reshape(-1, 12) @ (sign * deriv[f]).T
         return jac
 
 
@@ -169,14 +161,14 @@ def total_error(corr: CorrespondenceSet, model: KinematicModel) -> float:
 
 
 def build_correspondences(ms: MatchSet, datasets: dict,
-                          anchor_transforms: dict | None = None) -> CorrespondenceSet:
+                          anchor_models: dict | None = None) -> CorrespondenceSet:
     """Resolve a validated MatchSet against the raw datasets.
 
     ``datasets`` maps dataset id to the (normalized) ScanDataset.
-    ``anchor_transforms`` maps dataset ids whose pose is held fixed to a
-    callable joints -> 4x4 transform evaluated once here.
+    ``anchor_models`` maps dataset ids whose pose is held fixed to the
+    model whose chain poses, evaluated once here, hold them.
     """
-    anchor_transforms = anchor_transforms or {}
+    anchor_models = anchor_models or {}
     count = len(ms)
     points_a = np.ones((count, 4))
     points_b = np.ones((count, 4))
@@ -204,10 +196,8 @@ def build_correspondences(ms: MatchSet, datasets: dict,
             points_b[sel, :3] = ds.points[rows, cols]
             joints_b[sel] = ds.joints[rows, cols]
 
-    frozen_a = np.isin(ms.a_id, list(anchor_transforms)) if anchor_transforms else \
-        np.zeros(count, dtype=bool)
-    frozen_b = np.isin(ms.b_id, list(anchor_transforms)) if anchor_transforms else \
-        np.zeros(count, dtype=bool)
+    frozen_a = np.isin(ms.a_id, list(anchor_models))
+    frozen_b = np.isin(ms.b_id, list(anchor_models))
 
     # frames are unique (frozen?, joint vector) pairs
     jdim = joints_a.shape[1]
@@ -224,11 +214,10 @@ def build_correspondences(ms: MatchSet, datasets: dict,
     frame_joints = uniq[:, 1:]
 
     frozen_transforms = np.broadcast_to(np.eye(4), (uniq.shape[0], 4, 4)).copy()
-    for f in np.flatnonzero(frame_frozen):
+    for ds_id, anchor in anchor_models.items():
         # all endpoints of a frozen frame come from the same anchored dataset
-        member = np.flatnonzero(inverse == f)[0]
-        ds_id = int(all_ids[member])
-        frozen_transforms[f] = anchor_transforms[ds_id](frame_joints[f])
+        frames = np.unique(inverse[all_ids == ds_id])
+        frozen_transforms[frames] = chain_poses(anchor, frame_joints[frames])
 
     return CorrespondenceSet(points_a, points_b, frame_a, frame_b, normals,
                              frame_joints, frame_frozen, frozen_transforms)
@@ -355,18 +344,10 @@ def calibrate(datasets, k_init: KinematicModel,
     mask.check(k_init)
 
     # scale from the initial projection; frozen for the whole run
-    if cfg.scale_from_all:
-        scale_clouds = [project_to_base(ds, k_init) for ds in datasets]
-    else:
-        scale_clouds = [project_to_base(datasets[0], k_init)]
-    all_points = np.concatenate([c.points[c.valid] for c in scale_clouds])
-    if all_points.shape[0] == 0:
+    first = project_to_base(datasets[0], k_init)
+    if not np.any(first.valid):
         raise ConfigurationError("no valid points available to compute the scale")
-    if cfg.center_shift:
-        center = all_points.mean(axis=0)
-        s = float(np.mean(np.linalg.norm(all_points - center, axis=1)))
-    else:
-        s = float(np.mean(np.linalg.norm(all_points, axis=1)))
+    s = compute_scale(first)
     if s <= 0.0:
         raise ConfigurationError("degenerate scene: scale is zero")
 
@@ -403,11 +384,9 @@ def calibrate(datasets, k_init: KinematicModel,
                 pair_counts=candidates.pair_counts(),
             )
 
-        anchors = {}
-        if rigid_subcase:
-            anchors[0] = lambda joints: forward_kinematics(anchor_model, joints).matrix
+        anchors = {0: anchor_model} if rigid_subcase else {}
         corr = build_correspondences(matches, dict(enumerate(datasets_hat)),
-                                     anchor_transforms=anchors)
+                                     anchor_models=anchors)
         result = lm_minimize(corr, k_hat, mask, lambda0=cfg.lm_lambda0,
                              max_iterations=cfg.lm_max_iterations,
                              gradient_tol=cfg.lm_gradient_tol)

@@ -16,9 +16,8 @@ import numpy as np
 from .dataset import ScanDataset, SensorKind, interpolate_joints
 from .errors import (ConfigurationError, DimensionError, InvalidParameterError,
                      ParseError)
-from .kincore import (KinematicModel, ParamMask, default_mask,
-                      forward_kinematics, pack_params, translation_flags,
-                      unpack_params)
+from .kincore import (KinematicModel, ParamMask, chain_poses, default_mask,
+                      pack_params, translation_flags, unpack_params)
 from .transforms import rotation_angle
 
 _RAY_EPS = 1e-9
@@ -339,19 +338,12 @@ def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
     flat_joints = joints.reshape(rows * cols, model.joint_count)
     flat_dirs = dirs_local.reshape(-1, 3)
 
-    origins = np.empty_like(flat_dirs)
-    dirs_world = np.empty_like(flat_dirs)
-    if model.joint_count == 0:
-        uniq = np.zeros((1, 0))
-        inverse = np.zeros(flat_dirs.shape[0], dtype=int)
-    else:
-        uniq, inverse = np.unique(flat_joints, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-    for u, joint_vec in enumerate(uniq):
-        pose = forward_kinematics(model, joint_vec)
-        sel = inverse == u
-        origins[sel] = pose.translation
-        dirs_world[sel] = flat_dirs[sel] @ pose.rotation.T
+    uniq, inverse = np.unique(flat_joints, axis=0, return_inverse=True)
+    poses = chain_poses(model, uniq)
+    inverse = inverse.reshape(-1)
+    origins = poses[:, :3, 3].take(inverse, axis=0)
+    dirs_world = np.einsum("nij,nj->ni", poses[:, :3, :3].take(inverse, axis=0),
+                           flat_dirs)
 
     ranges = raycast_batch(scene, origins, dirs_world)
     valid = np.isfinite(ranges) & (ranges >= spec.min_range) & (ranges <= spec.max_range)
@@ -415,15 +407,11 @@ def evaluate_against_truth(found: KinematicModel, truth: KinematicModel,
     probe_joints = list(probe_joints)
     if not probe_joints:
         raise InvalidParameterError("need at least one probe configuration")
-    rot_err = 0.0
-    pos_err = 0.0
-    for joints in probe_joints:
-        pose_f = forward_kinematics(found_sub, joints)
-        pose_t = forward_kinematics(truth, joints)
-        rot_err += rotation_angle(pose_f.rotation.T @ pose_t.rotation)
-        pos_err += np.linalg.norm(pose_f.translation - pose_t.translation)
-    count = len(probe_joints)
-    return np.degrees(rot_err / count), 1000.0 * pos_err / count
+    pose_f = chain_poses(found_sub, probe_joints)
+    pose_t = chain_poses(truth, probe_joints)
+    rot_err = rotation_angle(np.swapaxes(pose_f[:, :3, :3], 1, 2) @ pose_t[:, :3, :3])
+    pos_err = np.linalg.norm(pose_f[:, :3, 3] - pose_t[:, :3, 3], axis=1)
+    return np.degrees(rot_err.mean()), 1000.0 * pos_err.mean()
 
 
 # --- default scene and file formats --------------------------------------------

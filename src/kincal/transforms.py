@@ -102,7 +102,7 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rotation_angle(rotation: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, in radians."""
-    cos_a = (np.trace(rotation) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos_a, -1.0, 1.0)))
+def rotation_angle(rotation: np.ndarray):
+    """Geodesic angle of a rotation matrix, or of each in a stack, in radians."""
+    cos_a = (np.trace(rotation, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(cos_a, -1.0, 1.0))

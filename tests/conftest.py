@@ -40,6 +40,33 @@ def random_model(rng, links: int = 2) -> kc.KinematicModel:
                              kc.EESegment(*ee_vals))
 
 
+def prismatic_model(rng) -> kc.KinematicModel:
+    """R-P-R chain; the segment feeding the prismatic joint keeps x = y = 0."""
+    J = kc.JointKind
+    a, b = rng.uniform(-1.0, 1.0, 2)
+    return kc.KinematicModel(
+        kc.Segment(*rng.uniform(-1.0, 1.0, 4), joint=J.REVOLUTE),
+        (kc.Segment(alpha=a, beta=b, joint=J.PRISMATIC),
+         kc.Segment(*rng.uniform(-1.0, 1.0, 4), joint=J.REVOLUTE)),
+        kc.EESegment(*rng.uniform(-1.0, 1.0, 6)))
+
+
+def joint_free_model(rng) -> kc.KinematicModel:
+    return kc.KinematicModel(kc.Segment(*rng.uniform(-1.0, 1.0, 4)), (),
+                             kc.EESegment(*rng.uniform(-1.0, 1.0, 6)))
+
+
+def segment_product(model: kc.KinematicModel, q) -> np.ndarray:
+    """Reference pose: the per-segment transforms multiplied in chain order."""
+    pose = np.eye(4)
+    joints = iter(q)
+    for seg in (model.base, *model.links):
+        pose = pose @ kc.static_segment_transform(seg).matrix
+        if seg.joint is not None:
+            pose = pose @ kc.joint_transform(seg.joint, next(joints)).matrix
+    return pose @ kc.ee_segment_transform(model.ee).matrix
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -3,11 +3,11 @@ import pytest
 
 import kincal as kc
 from kincal.errors import (DimensionError, InvalidParameterError, ParseError)
-from kincal.kincore import (chain_factors, transform_and_derivatives,
-                            translation_flags)
+from kincal.kincore import translation_flags
 from kincal.transforms import rot_x, rot_y, rot_z
 
-from conftest import planar_2r, random_model, seven_joint_arm
+from conftest import (joint_free_model, planar_2r, prismatic_model,
+                      random_model, segment_product, seven_joint_arm)
 
 
 def hom(rotation, translation=(0.0, 0.0, 0.0)):
@@ -125,13 +125,8 @@ def test_fk_equals_per_segment_product(rng):
     model = seven_joint_arm()
     q = rng.uniform(-np.pi, np.pi, 7)
     pose = kc.forward_kinematics(model, q)
-    manual = kc.static_segment_transform(model.base).matrix
-    manual = manual @ kc.joint_transform(model.base.joint, q[0]).matrix
-    for i, link in enumerate(model.links):
-        manual = manual @ kc.static_segment_transform(link).matrix
-        manual = manual @ kc.joint_transform(link.joint, q[i + 1]).matrix
-    manual = manual @ kc.ee_segment_transform(model.ee).matrix
-    np.testing.assert_allclose(pose.matrix, manual, atol=1e-12)
+    np.testing.assert_allclose(pose.matrix, segment_product(model, q),
+                               atol=1e-12)
 
 
 def test_fk_joint_arity_checked():
@@ -242,33 +237,43 @@ def test_mask_length_checked():
         kc.ParamMask(np.ones(5, dtype=bool)).check(seven_joint_arm())
 
 
-# --- chain derivative machinery -----------------------------------------------
+# --- batched chain kernel -----------------------------------------------------
 
-def test_chain_factors_product_equals_fk(rng):
-    model = random_model(rng, links=2)
-    q = rng.uniform(-np.pi, np.pi, 3)
-    product = np.eye(4)
-    for mat, _ in chain_factors(model, q):
-        product = product @ mat
-    np.testing.assert_allclose(product,
-                               kc.forward_kinematics(model, q).matrix,
-                               atol=1e-13)
+def kernel_models(rng):
+    return [random_model(rng, links=2), prismatic_model(rng),
+            joint_free_model(rng)]
 
 
-def test_transform_derivatives_match_finite_differences(rng):
-    model = random_model(rng, links=2)
-    q = rng.uniform(-np.pi, np.pi, 3)
-    free = np.arange(model.param_count)
-    _, deriv = transform_and_derivatives(model, q, free)
-    v = kc.pack_params(model)
-    h = 1e-7
-    for p in free:
-        vp, vm = v.copy(), v.copy()
-        vp[p] += h
-        vm[p] -= h
-        fd = (kc.forward_kinematics(kc.unpack_params(vp, model), q).matrix
-              - kc.forward_kinematics(kc.unpack_params(vm, model), q).matrix) / (2 * h)
-        np.testing.assert_allclose(deriv[p], fd, atol=1e-6)
+def test_chain_poses_equal_segment_product(rng):
+    for model in kernel_models(rng):
+        q = rng.uniform(-np.pi, np.pi, (5, model.joint_count))
+        poses = kc.chain_poses(model, q)
+        assert poses.shape == (5, 4, 4)
+        for pose, joints in zip(poses, q):
+            np.testing.assert_allclose(pose, segment_product(model, joints),
+                                       atol=1e-13)
+
+
+def test_chain_derivatives_match_finite_differences(rng):
+    for model in kernel_models(rng):
+        q = rng.uniform(-np.pi, np.pi, (5, model.joint_count))
+        # x, y of a segment feeding a prismatic joint must stay zero
+        flags = np.ones(model.param_count, dtype=bool)
+        for i, seg in enumerate((model.base, *model.links)):
+            if seg.joint is kc.JointKind.PRISMATIC:
+                flags[4 * i + 2:4 * i + 4] = False
+        free = np.flatnonzero(flags)
+        deriv = kc.chain_derivatives(model, q, free)
+        assert deriv.shape == (5, free.size, 4, 4)
+        v = kc.pack_params(model)
+        h = 1e-7
+        for col, p in enumerate(free):
+            vp, vm = v.copy(), v.copy()
+            vp[p] += h
+            vm[p] -= h
+            fd = (kc.chain_poses(kc.unpack_params(vp, model), q)
+                  - kc.chain_poses(kc.unpack_params(vm, model), q)) / (2 * h)
+            np.testing.assert_allclose(deriv[:, col], fd, atol=1e-6)
 
 
 # --- model file I/O -----------------------------------------------------------

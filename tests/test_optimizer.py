@@ -284,6 +284,16 @@ def test_calibrate_requires_two_datasets():
         kc.calibrate(datasets, truth)
 
 
+def test_calibrate_rejects_first_dataset_without_valid_cells():
+    truth = seven_joint_arm()
+    datasets = simulate_depth_scans(truth, [POSE_A, POSE_B])
+    first = datasets[0]
+    datasets[0] = kc.ScanDataset(first.kind, first.points,
+                                 np.zeros_like(first.valid), first.joints)
+    with pytest.raises(ConfigurationError, match="scale"):
+        kc.calibrate(datasets, truth)
+
+
 def test_calibrate_matching_failure_reports_pairs():
     truth = seven_joint_arm()
     poses = [POSE_A, POSE_B]

@@ -14,7 +14,8 @@ The packed parameter vector is laid out base-to-tip, per segment
 (alpha, beta, gamma, x, y, z).  This order is also the on-disk order of
 the model file.
 
-``chain_poses`` and ``chain_derivatives`` are the only chain evaluators.
+``chain_poses`` and ``chain_derivatives`` (also bound as
+``transform_and_derivatives``) are the only chain evaluators.
 Both take a (frames, joint_count) batch of joint vectors and return the
 poses, or their derivatives by packed parameters, of every frame at once;
 ``forward_kinematics`` is ``chain_poses`` for a single frame.  The
@@ -283,6 +284,11 @@ def chain_derivatives(model: KinematicModel, joints, free) -> np.ndarray:
         k = slot[int(p)]
         out[:, col] = prefix[k + 1] @ _GENERATORS[factors[k][0]] @ suffix[k + 1]
     return out
+
+
+# The benchmark's layer table (bench/tracing.py) times the derivative
+# kernel under this name.
+transform_and_derivatives = chain_derivatives
 
 
 def forward_kinematics(model: KinematicModel, joints) -> RigidTransform:

@@ -232,6 +232,12 @@ def test_evaluate_identical_models_is_zero():
     assert deg == 0.0 and mm == 0.0
 
 
+def test_evaluate_rejects_probes_of_different_lengths():
+    model = seven_joint_arm()
+    with pytest.raises(DimensionError):
+        kc.evaluate_against_truth(model, model, [np.zeros(7), np.zeros(6)])
+
+
 def test_evaluate_pure_ee_shift():
     truth = seven_joint_arm()
     v = kc.pack_params(truth)

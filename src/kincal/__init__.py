@@ -7,7 +7,7 @@ adjustment wrapped in an ICP-style outer loop.  A ray-casting simulator
 provides synthetic datasets with ground truth.
 """
 
-from .dataset import (ProjectedCloud, ScanDataset, SensorKind,
+from .dataset import (FrameTable, ProjectedCloud, ScanDataset, SensorKind,
                       interpolate_joints, load_dataset, project_to_base,
                       save_dataset)
 from .errors import (ConfigurationError, DimensionError, ExtrapolationError,

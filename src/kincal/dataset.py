@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +25,24 @@ class SensorKind(enum.Enum):
     DEPTH_CAMERA = "depth_camera"
 
 
+class FrameTable(NamedTuple):
+    ids: np.ndarray     # (rows, cols): row of ``joints`` per cell, -1 if invalid
+    joints: np.ndarray  # (frames, joint_count) distinct joint vectors
+
+
 @dataclass(frozen=True)
 class ScanDataset:
-    """Sensor-frame points and matching joint vectors on a fixed grid."""
+    """Sensor-frame points and matching joint vectors on a fixed grid.
+
+    ``frames`` holds the distinct joint vectors once; it is found from the
+    valid cells' joints when the producer does not give it.
+    """
 
     kind: SensorKind
     points: np.ndarray  # (rows, cols, 3), sensor frame, meters
     valid: np.ndarray   # (rows, cols) bool
     joints: np.ndarray  # (rows, cols, joint_count)
+    frames: FrameTable | None = None
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -47,9 +58,15 @@ class ScanDataset:
             raise DimensionError("valid cells must carry finite joint vectors")
         if np.any(valid) and not np.all(np.isfinite(points[valid])):
             raise DimensionError("valid cells must carry finite points")
+        ids, rows = map(np.asarray, self.frames or _find_frames(joints, valid))
+        if (ids.shape != valid.shape
+                or np.any(np.where(valid, (ids < 0) | (ids >= len(rows)), ids != -1))
+                or not np.array_equal(rows[ids[valid]], joints[valid])):
+            raise DimensionError("frame table does not match the joint grid")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "frames", FrameTable(ids, rows))
 
     @property
     def rows(self) -> int:
@@ -62,6 +79,20 @@ class ScanDataset:
     @property
     def joint_count(self) -> int:
         return self.joints.shape[2]
+
+
+def _find_frames(joints, valid) -> FrameTable:
+    """Number the distinct joint rows of the valid cells in sorted order."""
+    rows = joints[valid]
+    order = np.arange(len(rows))
+    for column in rows.T[::-1]:
+        order = order[np.argsort(column[order], kind="stable")]
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.full(valid.shape, -1)
+    ids[valid] = (np.cumsum(first) - 1)[np.argsort(order)]
+    return FrameTable(ids, ranked[first])
 
 
 @dataclass(frozen=True)
@@ -84,8 +115,10 @@ class ProjectedCloud:
 def project_to_base(ds: ScanDataset, model: KinematicModel) -> ProjectedCloud:
     """Map every valid point through the chain at its own joint state.
 
-    Cells sharing a joint vector (e.g. all pixels of one camera frame)
-    share one frame of a single batched chain evaluation.
+    The chain is evaluated once per row of the dataset's frame table
+    (``ds.frames``: one frame per camera pose or per scan-line sample
+    time, built once per dataset), and each cell takes the pose of its
+    frame id.
     """
     if ds.joint_count != model.joint_count:
         raise DimensionError(
@@ -93,21 +126,22 @@ def project_to_base(ds: ScanDataset, model: KinematicModel) -> ProjectedCloud:
         )
     out = np.full_like(ds.points, np.nan)
     origins = np.full_like(ds.points, np.nan)
-    uniq, inverse = np.unique(ds.joints[ds.valid], axis=0, return_inverse=True)
-    poses = chain_poses(model, uniq)
-    inverse = inverse.reshape(-1)
-    translations = poses[:, :3, 3].take(inverse, axis=0)
-    rotations = poses[:, :3, :3].take(inverse, axis=0)
+    poses = chain_poses(model, ds.frames.joints)
+    frame = ds.frames.ids[ds.valid]
+    translations = poses[:, :3, 3].take(frame, axis=0)
+    rotations = poses[:, :3, :3].take(frame, axis=0)
     out[ds.valid] = np.einsum("nij,nj->ni", rotations, ds.points[ds.valid]) + translations
     origins[ds.valid] = translations
     return ProjectedCloud(out, ds.valid.copy(), origins)
 
 
-def interpolate_joints(samples, t: float) -> np.ndarray:
+def interpolate_joints(samples, t) -> np.ndarray:
     """Per-joint linear interpolation of a timestamped joint-state stream.
 
-    ``samples`` is a time-sorted sequence of (time, joint_vector).  Times
-    outside the sampled range raise; there is no silent extrapolation.
+    ``samples`` is a time-sorted sequence of (time, joint_vector).  ``t``
+    is one time, giving one joint vector, or an array of times, giving
+    one joint vector per time.  Times outside the sampled range raise;
+    there is no silent extrapolation.
     """
     if len(samples) < 2:
         raise DimensionError("need at least two joint samples to interpolate")
@@ -115,16 +149,17 @@ def interpolate_joints(samples, t: float) -> np.ndarray:
     values = np.array([np.asarray(s[1], dtype=float) for s in samples])
     if np.any(np.diff(times) < 0):
         raise DimensionError("joint samples must be sorted by time")
-    if t < times[0] or t > times[-1]:
-        raise ExtrapolationError(
-            f"time {t} outside sampled range [{times[0]}, {times[-1]}]"
-        )
-    hi = int(np.searchsorted(times, t, side="left"))
-    if times[hi] == t:
-        return values[hi].copy()
-    lo = hi - 1
-    w = (t - times[lo]) / (times[hi] - times[lo])
-    return values[lo] + w * (values[hi] - values[lo])
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= times[0]) & (t <= times[-1]))
+    if np.any(outside):
+        raise ExtrapolationError(f"time {t[outside].flat[0]} outside sampled "
+                                 f"range [{times[0]}, {times[-1]}]")
+    hi = np.searchsorted(times, t, side="left")
+    lo = np.maximum(hi - 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = ((t - times[lo]) / (times[hi] - times[lo]))[..., None]
+    return np.where((times[hi] == t)[..., None], values[hi],
+                    values[lo] + w * (values[hi] - values[lo]))
 
 
 # --- on-disk format ---------------------------------------------------------

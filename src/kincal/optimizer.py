@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import ProjectedCloud, ScanDataset, project_to_base
+from .dataset import FrameTable, ScanDataset, project_to_base
 from .errors import (ConfigurationError, MatchingFailure, SingularSystemError)
 from .geomfilter import (VIEW_DIRECTION_RULE, FilteredCloud, compute_scale,
                          filter_cloud)
@@ -166,61 +166,46 @@ def build_correspondences(ms: MatchSet, datasets: dict,
 
     ``datasets`` maps dataset id to the (normalized) ScanDataset.
     ``anchor_models`` maps dataset ids whose pose is held fixed to the
-    model whose chain poses, evaluated once here, hold them.
+    model whose chain poses, evaluated once here, hold them.  Frames are
+    the (dataset, frame id) pairs of the datasets' frame tables that some
+    endpoint uses; the frames of anchored datasets are frozen.
     """
     anchor_models = anchor_models or {}
     count = len(ms)
     points_a = np.ones((count, 4))
     points_b = np.ones((count, 4))
     normals = np.empty((count, 3))
-    joints_a = None
-    joints_b = None
+    frame_a = np.empty(count, dtype=int)
+    frame_b = np.empty(count, dtype=int)
+    tables = [datasets[ds_id].frames.joints for ds_id in ms.clouds]
+    offsets = np.cumsum([0] + [len(table) for table in tables])
 
-    for ds_id, cloud in ms.clouds.items():
+    for offset, (ds_id, cloud) in zip(offsets, ms.clouds.items()):
         ds = datasets[ds_id]
-        if joints_a is None:
-            jdim = ds.joint_count
-            joints_a = np.empty((count, jdim))
-            joints_b = np.empty((count, jdim))
+        for ids, idx, points, frame in ((ms.a_id, ms.a_idx, points_a, frame_a),
+                                        (ms.b_id, ms.b_idx, points_b, frame_b)):
+            sel = ids == ds_id
+            cells = cloud.rows[idx[sel]], cloud.cols[idx[sel]]
+            points[sel, :3] = ds.points[cells]
+            frame[sel] = offset + ds.frames.ids[cells]
         sel = ms.a_id == ds_id
-        if np.any(sel):
-            rows = cloud.rows[ms.a_idx[sel]]
-            cols = cloud.cols[ms.a_idx[sel]]
-            points_a[sel, :3] = ds.points[rows, cols]
-            joints_a[sel] = ds.joints[rows, cols]
-            normals[sel] = cloud.normals[ms.a_idx[sel]]
-        sel = ms.b_id == ds_id
-        if np.any(sel):
-            rows = cloud.rows[ms.b_idx[sel]]
-            cols = cloud.cols[ms.b_idx[sel]]
-            points_b[sel, :3] = ds.points[rows, cols]
-            joints_b[sel] = ds.joints[rows, cols]
+        normals[sel] = cloud.normals[ms.a_idx[sel]]
 
-    frozen_a = np.isin(ms.a_id, list(anchor_models))
-    frozen_b = np.isin(ms.b_id, list(anchor_models))
-
-    # frames are unique (frozen?, joint vector) pairs
-    jdim = joints_a.shape[1]
-    all_joints = np.concatenate([joints_a, joints_b])
-    all_frozen = np.concatenate([frozen_a, frozen_b])
-    all_ids = np.concatenate([ms.a_id, ms.b_id])
-    key = np.column_stack([all_frozen.astype(float).reshape(-1, 1),
-                           all_joints.reshape(2 * count, jdim)])
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    frame_a = inverse[:count]
-    frame_b = inverse[count:]
-    frame_frozen = uniq[:, 0] > 0.5
-    frame_joints = uniq[:, 1:]
-
-    frozen_transforms = np.broadcast_to(np.eye(4), (uniq.shape[0], 4, 4)).copy()
+    # keep the frames some endpoint uses, in (dataset, frame id) order
+    used = np.zeros(offsets[-1], dtype=bool)
+    used[frame_a] = used[frame_b] = True
+    renumber = np.cumsum(used) - 1
+    owner = np.repeat(list(ms.clouds), np.diff(offsets))[used]
+    frame_joints = np.concatenate(tables)[used]
+    frozen_transforms = np.broadcast_to(np.eye(4), (len(owner), 4, 4)).copy()
     for ds_id, anchor in anchor_models.items():
-        # all endpoints of a frozen frame come from the same anchored dataset
-        frames = np.unique(inverse[all_ids == ds_id])
-        frozen_transforms[frames] = chain_poses(anchor, frame_joints[frames])
+        mine = owner == ds_id
+        frozen_transforms[mine] = chain_poses(anchor, frame_joints[mine])
 
-    return CorrespondenceSet(points_a, points_b, frame_a, frame_b, normals,
-                             frame_joints, frame_frozen, frozen_transforms)
+    return CorrespondenceSet(points_a, points_b, renumber[frame_a],
+                             renumber[frame_b], normals, frame_joints,
+                             np.isin(owner, list(anchor_models)),
+                             frozen_transforms)
 
 
 # --- masked Levenberg-Marquardt ----------------------------------------------
@@ -312,9 +297,12 @@ def lm_minimize(corr: CorrespondenceSet, model: KinematicModel,
 def _normalize_dataset(ds: ScanDataset, s: float,
                        prismatic: np.ndarray) -> ScanDataset:
     joints = ds.joints.copy()
+    frame_joints = ds.frames.joints.copy()
     if prismatic.any():
         joints[..., prismatic] /= s
-    return ScanDataset(ds.kind, ds.points / s, ds.valid, joints)
+        frame_joints[:, prismatic] /= s
+    return ScanDataset(ds.kind, ds.points / s, ds.valid, joints,
+                       FrameTable(ds.frames.ids, frame_joints))
 
 
 def calibrate(datasets, k_init: KinematicModel,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScanDataset, SensorKind, interpolate_joints
+from .dataset import FrameTable, ScanDataset, SensorKind, interpolate_joints
 from .errors import (ConfigurationError, DimensionError, InvalidParameterError,
                      ParseError)
 from .kincore import (KinematicModel, ParamMask, chain_poses, default_mask,
@@ -291,11 +291,6 @@ class TrajectorySpec:
         return knots
 
 
-def _joint_states_at(traj: TrajectorySpec, times: np.ndarray) -> np.ndarray:
-    knots = traj.joint_samples()
-    return np.array([interpolate_joints(knots, float(t)) for t in times])
-
-
 def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
                      traj: TrajectorySpec, seed: int) -> ScanDataset:
     """Scan the scene along the trajectory; deterministic given the seed.
@@ -316,8 +311,8 @@ def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
             raise ConfigurationError(
                 "depth camera simulation takes exactly one static pose per dataset"
             )
-        joints = np.broadcast_to(traj.static_poses[0],
-                                 (rows, cols, model.joint_count)).copy()
+        frame_joints = traj.static_poses[0].reshape(1, model.joint_count)
+        frame = np.zeros(rows * cols, dtype=int)
     else:
         if not traj.legs:
             raise ConfigurationError("continuous sensors need trajectory legs")
@@ -331,18 +326,15 @@ def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
             times = np.minimum(col_times[None, :] + offsets[:, None], duration)
         else:
             times = np.broadcast_to(col_times[None, :], (rows, cols))
-        joints = _joint_states_at(traj, times.reshape(-1)).reshape(
-            rows, cols, model.joint_count)
+        # one frame per distinct sample time
+        frame_times, frame = np.unique(times.reshape(-1), return_inverse=True)
+        frame_joints = interpolate_joints(traj.joint_samples(), frame_times)
         dirs_local = np.broadcast_to(dirs_local[:, :1, :], (rows, cols, 3)).copy()
 
-    flat_joints = joints.reshape(rows * cols, model.joint_count)
     flat_dirs = dirs_local.reshape(-1, 3)
-
-    uniq, inverse = np.unique(flat_joints, axis=0, return_inverse=True)
-    poses = chain_poses(model, uniq)
-    inverse = inverse.reshape(-1)
-    origins = poses[:, :3, 3].take(inverse, axis=0)
-    dirs_world = np.einsum("nij,nj->ni", poses[:, :3, :3].take(inverse, axis=0),
+    poses = chain_poses(model, frame_joints)
+    origins = poses[:, :3, 3].take(frame, axis=0)
+    dirs_world = np.einsum("nij,nj->ni", poses[:, :3, :3].take(frame, axis=0),
                            flat_dirs)
 
     ranges = raycast_batch(scene, origins, dirs_world)
@@ -357,7 +349,9 @@ def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
     return ScanDataset(spec.kind,
                        points.reshape(rows, cols, 3),
                        valid.reshape(rows, cols),
-                       joints)
+                       frame_joints[frame].reshape(rows, cols, model.joint_count),
+                       FrameTable(np.where(valid, frame, -1).reshape(rows, cols),
+                                  frame_joints))
 
 
 def simulate_scans(scene, model, spec, trajectories, seed: int):

@@ -67,6 +67,15 @@ def segment_product(model: kc.KinematicModel, q) -> np.ndarray:
     return pose @ kc.ee_segment_transform(model.ee).matrix
 
 
+def assert_exact_frame_table(ds):
+    """Ids are -1 exactly on invalid cells, and each table row is bit-equal
+    to the joint vector of every cell that refers to it."""
+    ids, rows = ds.frames
+    np.testing.assert_array_equal(ids == -1, ~ds.valid)
+    assert np.all(ids[ds.valid] >= 0)
+    np.testing.assert_array_equal(rows[ids[ds.valid]], ds.joints[ds.valid])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

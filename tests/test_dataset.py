@@ -4,7 +4,7 @@ import pytest
 import kincal as kc
 from kincal.errors import DimensionError, ExtrapolationError, ParseError
 
-from conftest import seven_joint_arm
+from conftest import assert_exact_frame_table, seven_joint_arm
 
 
 def make_dataset(rng, rows=4, cols=5, joint_count=2, kind=kc.SensorKind.DEPTH_CAMERA):
@@ -100,6 +100,54 @@ def test_interpolate_joints():
         kc.interpolate_joints(samples, 0.5)
     with pytest.raises(ExtrapolationError):
         kc.interpolate_joints(samples, -0.1)
+    np.testing.assert_allclose(kc.interpolate_joints(samples, [0.0, 0.1, 0.4]),
+                               [[2.0], [3.0], [6.0]])
+    with pytest.raises(ExtrapolationError, match="time 0.5 outside"):
+        kc.interpolate_joints(samples, [0.1, 0.5, -1.0])
+
+
+def test_found_frames_group_equal_joint_rows(rng):
+    ds = make_dataset(rng, rows=6, cols=7, joint_count=2)
+    choices = np.array([[0.5, -1.0], [0.5, 2.0], [-0.0, 0.0]])
+    joints = choices[rng.integers(0, 3, ds.valid.shape)]
+    joints[~ds.valid] = np.nan  # invalid cells need no joint vector
+    ds = kc.ScanDataset(ds.kind, ds.points, ds.valid, joints)
+    assert len(ds.frames.joints) == len(np.unique(joints[ds.valid][:, 1]))
+    assert_exact_frame_table(ds)
+
+
+def test_given_frame_table_must_match_the_joints(rng):
+    ds = make_dataset(rng, joint_count=2)
+    ids, rows = ds.frames
+    kc.ScanDataset(ds.kind, ds.points, ds.valid, ds.joints, kc.FrameTable(ids, rows))
+    shifted = np.where(ds.valid, (ids + 1) % len(rows), -1)
+    unmarked = np.where(ds.valid, ids, 0)
+    out_of_range = np.where(ds.valid, ids + len(rows), -1)
+    for bad in ((shifted, rows), (unmarked, rows), (out_of_range, rows),
+                (ids[:-1], rows), (ids, rows[:, :1])):
+        with pytest.raises(DimensionError):
+            kc.ScanDataset(ds.kind, ds.points, ds.valid, ds.joints,
+                           kc.FrameTable(*bad))
+
+
+def test_loaded_dataset_projects_like_the_simulated_one(tmp_path):
+    model = seven_joint_arm()
+    start = np.array([-2.2008, 0.7925, -2.2392, -0.3573, 1.7988, 2.4800, 1.6288])
+    leg = kc.TrajectoryLeg(start, start + 0.3, 2.0)
+    spec = kc.SensorSpec(kind=kc.SensorKind.SINGLE_BEAM_LIDAR, rows=16, cols=1,
+                         fov_rows=1.0, fov_cols=0.0, min_range=0.1,
+                         max_range=0.9, sample_rate=10.0)
+    simulated = kc.simulate_dataset(kc.default_scene(), model, spec,
+                                    kc.TrajectorySpec(legs=(leg,)), seed=4)
+    assert simulated.valid.any() and not simulated.valid.all()
+    kc.save_dataset(simulated, tmp_path / "ds")
+    loaded = kc.load_dataset(tmp_path / "ds")
+    assert_exact_frame_table(loaded)
+    expected = kc.project_to_base(simulated, model)
+    found = kc.project_to_base(loaded, model)
+    np.testing.assert_array_equal(found.valid, expected.valid)
+    np.testing.assert_array_equal(found.points, expected.points)
+    np.testing.assert_array_equal(found.sensor_origins, expected.sensor_origins)
 
 
 def test_dataset_roundtrip(tmp_path, rng):

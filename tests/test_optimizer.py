@@ -328,3 +328,104 @@ def test_calibration_config_validation():
         kc.CalibrationConfig(i_max=0)
     with pytest.raises(ConfigurationError):
         kc.CalibrationConfig(g_min=1.5)
+
+
+# --- correspondences over frame tables -------------------------------------------
+
+def line_sweeps(model, poses, seed0=70):
+    """Line-scanner sweeps of the default scene, one wrist joint moving
+    per sweep (up and down in turn), so each scan line has its own joint
+    frame."""
+    spec = kc.SensorSpec(kind=kc.SensorKind.LINE_SCANNER, rows=32, cols=1,
+                         fov_rows=1.0, fov_cols=0.0, min_range=0.1,
+                         max_range=4.0, noise=kc.NoiseModel(sigma_abs=0.001),
+                         sample_rate=10.0)
+    datasets = []
+    for i, q in enumerate(poses):
+        step = 0.3 if i % 2 else -0.3
+        start, end = q.copy(), q.copy()
+        start[4 + i % 2] -= step
+        end[4 + i % 2] += step
+        leg = kc.TrajectoryLeg(start, end, 2.0)
+        datasets.append(kc.simulate_dataset(kc.default_scene(), model, spec,
+                                            kc.TrajectorySpec(legs=(leg,)),
+                                            seed=seed0 + i))
+    return datasets
+
+
+def validated_matches(datasets, model, cfg=kc.CalibrationConfig(d_max=0.05)):
+    clouds = [kc.filter_cloud(kc.project_to_base(ds, model), cfg.n, cfg.m,
+                              cfg.g_min, dataset_id=i)
+              for i, ds in enumerate(datasets)]
+    return kc.validate_matches(kc.match_all(clouds), cfg.d_max, cfg.f_min)
+
+
+def test_correspondence_frames_carry_each_endpoints_joints():
+    truth = seven_joint_arm()
+    datasets = (simulate_depth_scans(truth, [POSE_A])
+                + line_sweeps(truth, [POSE_B, POSE_C]))
+    ms = validated_matches(datasets, truth)
+    assert len(ms) > 0
+    corr = kc.build_correspondences(ms, dict(enumerate(datasets)),
+                                    anchor_models={1: truth})
+    for ids, idx, frame in ((ms.a_id, ms.a_idx, corr.frame_a),
+                            (ms.b_id, ms.b_idx, corr.frame_b)):
+        for ds_id, ds in enumerate(datasets):
+            sel = ids == ds_id
+            cloud = ms.clouds[ds_id]
+            cells = cloud.rows[idx[sel]], cloud.cols[idx[sel]]
+            np.testing.assert_array_equal(corr.frame_joints[frame[sel]],
+                                          ds.joints[cells])
+            # exactly the anchored dataset's endpoints are frozen
+            np.testing.assert_array_equal(corr.frame_frozen[frame[sel]],
+                                          ds_id == 1)
+    assert len(corr.frame_joints) > 3  # the sweeps bring many frames
+    frozen = corr.frame_frozen
+    np.testing.assert_array_equal(corr.frozen_transforms[frozen],
+                                  kc.chain_poses(truth, corr.frame_joints[frozen]))
+
+
+def test_rigid_subcase_with_three_datasets_solves():
+    scene = [kc.Plane((0.0, 0.0, 2.0), (0.0, 0.0, -1.0)),
+             kc.Plane((0.8, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+             kc.Plane((0.0, 0.8, 0.0), (0.0, -1.0, 0.0))]
+    spec = kc.SensorSpec(kind=kc.SensorKind.DEPTH_CAMERA, rows=48, cols=48,
+                         fov_rows=1.0, fov_cols=1.0, min_range=0.1,
+                         max_range=6.0, noise=kc.NoiseModel(sigma_abs=0.0005))
+    identity = zero_joint_model()
+    displaced = kc.KinematicModel(kc.Segment(), (),
+                                  kc.EESegment(alpha=0.02, beta=-0.01,
+                                               gamma=0.015, x=0.02, y=-0.01,
+                                               z=0.015))
+    pose = kc.TrajectorySpec(static_poses=(np.zeros(0),))
+    # the reference scan, then two scans from the displaced pose
+    datasets = [kc.simulate_dataset(scene, model, spec, pose, seed=seed)
+                for seed, model in enumerate((identity, displaced, displaced))]
+    flags = np.zeros(identity.param_count, dtype=bool)
+    flags[4:] = True
+    report = kc.calibrate(datasets, identity,
+                          kc.CalibrationConfig(mask=kc.ParamMask(flags),
+                                               d_max=0.1, g_min=0.9, f_min=0.9))
+    assert report.converged
+    found = kc.forward_kinematics(report.final_model, []).matrix
+    truth = kc.forward_kinematics(displaced, []).matrix
+    assert np.degrees(kc.rotation_angle(found[:3, :3].T @ truth[:3, :3])) < 0.05
+    assert 1000.0 * np.linalg.norm(found[:3, 3] - truth[:3, 3]) < 1.0
+
+
+def test_calibrate_loaded_datasets_like_simulated_ones(tmp_path):
+    truth = seven_joint_arm()
+    mask = kc.default_mask(truth)
+    k_init = kc.perturb_model(truth, mask, np.radians(0.5), 0.002, seed=3)
+    simulated = (simulate_depth_scans(truth, [POSE_A, POSE_B, POSE_C])
+                 + line_sweeps(truth, [POSE_A, POSE_C]))
+    loaded = []
+    for i, ds in enumerate(simulated):
+        kc.save_dataset(ds, tmp_path / f"ds{i}")
+        loaded.append(kc.load_dataset(tmp_path / f"ds{i}"))
+    cfg = kc.CalibrationConfig(i_max=2, lm_max_iterations=3)
+    expected = kc.calibrate(simulated, k_init, cfg)
+    found = kc.calibrate(loaded, k_init, cfg)
+    np.testing.assert_array_equal(kc.pack_params(found.final_model),
+                                  kc.pack_params(expected.final_model))
+    assert found.iterations == expected.iterations

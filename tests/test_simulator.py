@@ -6,7 +6,7 @@ from kincal.errors import (ConfigurationError, DimensionError,
                            InvalidParameterError, ParseError)
 from kincal.simulator import Box, Plane, Sphere, TriangleMesh
 
-from conftest import seven_joint_arm
+from conftest import assert_exact_frame_table, seven_joint_arm
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -334,3 +334,50 @@ def test_trajectory_validation():
         kc.TrajectoryLeg([0.0], [1.0], 0.0)
     with pytest.raises(DimensionError):
         kc.TrajectoryLeg([0.0], [1.0, 2.0], 1.0)
+
+
+# --- frame table -------------------------------------------------------------
+
+def test_depth_scan_has_one_frame():
+    # a sphere fills only the middle of the view: the corner rays miss
+    scene = [Sphere((0.0, 0.0, 2.0), 0.5)]
+    model = kc.KinematicModel(kc.Segment(joint=kc.JointKind.REVOLUTE), (),
+                              kc.EESegment())
+    ds = kc.simulate_dataset(scene, model, camera_spec(rows=8, cols=8),
+                             static_traj([0.3]), seed=0)
+    assert ds.valid.any() and not ds.valid.all()
+    np.testing.assert_array_equal(ds.frames.joints, [[0.3]])
+    assert_exact_frame_table(ds)
+
+
+def test_line_scanner_has_one_frame_per_column():
+    scene = [Plane((0.0, 0.0, -0.5), UP)]
+    model = kc.KinematicModel(kc.Segment(joint=kc.JointKind.PRISMATIC), (),
+                              kc.EESegment(alpha=np.pi))
+    traj = kc.TrajectorySpec(legs=(kc.TrajectoryLeg([0.0], [1.0], 1.0),))
+    # the outer beams of the fan are longer than max_range
+    spec = kc.SensorSpec(kind=kc.SensorKind.LINE_SCANNER, rows=5, cols=1,
+                         fov_rows=1.5, fov_cols=0.0, min_range=0.01,
+                         max_range=1.0, sample_rate=10.0)
+    ds = kc.simulate_dataset(scene, model, spec, traj, seed=0)
+    assert ds.valid.any() and not ds.valid.all()
+    assert ds.frames.joints.shape == (ds.cols, 1)
+    columns = np.broadcast_to(np.arange(ds.cols), ds.valid.shape)
+    np.testing.assert_array_equal(ds.frames.ids[ds.valid], columns[ds.valid])
+    assert_exact_frame_table(ds)
+
+
+def test_lidar_has_one_frame_per_sample_time():
+    scene = [Sphere((0.0, 0.0, 0.0), 3.0)]
+    model = kc.KinematicModel(kc.Segment(joint=kc.JointKind.REVOLUTE), (),
+                              kc.EESegment())
+    traj = kc.TrajectorySpec(legs=(kc.TrajectoryLeg([0.0], [1.0], 1.0),))
+    spec = kc.SensorSpec(kind=kc.SensorKind.SINGLE_BEAM_LIDAR, rows=4, cols=1,
+                         fov_rows=0.5, fov_cols=0.0, min_range=0.01,
+                         max_range=10.0, sample_rate=2.0)
+    ds = kc.simulate_dataset(scene, model, spec, traj, seed=0)
+    # two rotations of four beams: eight distinct sample times
+    times = np.arange(8) / 8.0
+    np.testing.assert_array_equal(
+        ds.frames.joints, kc.interpolate_joints(traj.joint_samples(), times))
+    assert_exact_frame_table(ds)

@@ -23,8 +23,8 @@ from .kincore import (EESegment, JointKind, KinematicModel, ParamMask,
                       forward_kinematics, joint_transform, load_model,
                       normalize_params, pack_params, save_model,
                       static_segment_transform, unpack_params)
-from .matching import (Match, MatchSet, SpatialIndex, build_index,
-                       find_matches, match_all, validate_matches)
+from .matching import (MatchSet, SpatialIndex, build_index, match_all,
+                       validate_matches)
 from .optimizer import (CalibrationConfig, CalibrationReport,
                         CorrespondenceSet, IterationStats, LMResult,
                         build_correspondences, calibrate, lm_minimize,
@@ -34,8 +34,7 @@ from .simulator import (Box, NoiseModel, Plane, SensorSpec, Sphere,
                         TrajectoryLeg, TrajectorySpec, TriangleMesh,
                         default_scene, evaluate_against_truth, load_scene,
                         load_trajectory, perturb_model, raycast, raycast_batch,
-                        save_scene, save_trajectory, simulate_dataset,
-                        simulate_scans)
+                        save_scene, save_trajectory, simulate_dataset)
 from .transforms import RigidTransform, rot_x, rot_y, rot_z, rotation_angle
 
 __version__ = "0.1.0"

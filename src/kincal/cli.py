@@ -126,6 +126,9 @@ def cmd_calibrate(args):
     if len(args.datasets) < 2:
         raise SystemExit(_fail("calibrate needs at least two dataset directories",
                                code=2))
+    if args.threads is not None and args.threads != -1 and args.threads < 1:
+        raise SystemExit(_fail(f"--threads must be -1 (all cores) or at least 1, "
+                               f"got {args.threads}", code=2))
     config = _load_config(args.config) if args.config else {}
     _require_path(args.model)
     for path in args.datasets:
@@ -133,10 +136,13 @@ def cmd_calibrate(args):
     model, mask = load_model(args.model)
     datasets = [load_dataset(path) for path in args.datasets]
     cfg = _calibration_config(_merge(args, config, _CONFIG_KEYS), mask)
+    saved_workers = matching.QUERY_WORKERS
     if args.threads is not None:
-        matching.QUERY_WORKERS = int(args.threads)
-
-    report = calibrate(datasets, model, cfg)
+        matching.QUERY_WORKERS = args.threads
+    try:
+        report = calibrate(datasets, model, cfg)
+    finally:
+        matching.QUERY_WORKERS = saved_workers
 
     os.makedirs(args.out, exist_ok=True)
     save_model(report.final_model, mask, os.path.join(args.out, "model.txt"))
@@ -250,7 +256,8 @@ def _build_parser():
     p.add_argument("--model", required=True, help="initial model file with mask")
     p.add_argument("--config", help="JSON file; explicit flags win")
     p.add_argument("--threads", type=int,
-                   help="nearest-neighbor query workers (default: all cores)")
+                   help="nearest-neighbor query workers: -1 (default) for all "
+                        "cores, or at least 1")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

@@ -4,11 +4,19 @@ For every ordered pair of filtered clouds (i < j) a k-d tree over cloud
 j answers one exact nearest-neighbor query per point of cloud i.  The
 tree is rebuilt from scratch by every caller: clouds deform between ICP
 iterations, so nothing may be cached across them.
+
+A ``MatchSet`` stacks all clouds into one point array, in dataset-id
+order, and stores each candidate as two rows of that stack.  The stack
+carries each point's dataset id and grid cell, so validation and
+correspondence building gather through the rows and never split the
+candidates by dataset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,16 +27,6 @@ from .geomfilter import FilteredCloud
 # worker threads for nearest-neighbor queries; -1 means all cores.
 # Results are identical for any value, only wall time changes.
 QUERY_WORKERS = -1
-
-
-@dataclass(frozen=True)
-class Match:
-    a_id: int
-    a_row: int
-    a_col: int
-    b_id: int
-    b_row: int
-    b_col: int
 
 
 class SpatialIndex:
@@ -60,12 +58,13 @@ class SpatialIndex:
         best_dist = dist[:, 0]
         ties = np.flatnonzero(dist[:, 1] == best_dist)
         for row in ties:
-            candidates = self._tree.query_ball_point(points[row], best_dist[row])
-            keep = [c for c in candidates
-                    if np.linalg.norm(self.cloud.positions[c] - points[row])
-                    == best_dist[row]]
-            if keep:
-                best_idx[row] = min(keep)
+            # the ball compares squared distances with the squared radius,
+            # which can round below them: grow it so no tied point drops out
+            near = np.asarray(self._tree.query_ball_point(
+                points[row], best_dist[row] * (1.0 + 1e-9)), dtype=int)
+            gaps = np.linalg.norm(self.cloud.positions[near] - points[row],
+                                  axis=1)
+            best_idx[row] = near[gaps == gaps.min()].min()
         return best_idx, best_dist
 
 
@@ -75,74 +74,60 @@ def build_index(cloud: FilteredCloud) -> SpatialIndex:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Point-pair indices across two or more filtered clouds.
+    """Candidate point pairs over one stack of filtered clouds.
 
-    Pairs are unordered across datasets (a_id < b_id, never equal); the
-    arrays reference positions/normals inside ``clouds``.
+    The stack holds the clouds in dataset-id order, each in its own
+    row-major grid order; ``dataset``, ``positions``, ``normals``,
+    ``rows`` and ``cols`` describe each stacked point.  ``a`` and ``b``
+    are the stack rows of the two endpoints, with dataset[a] < dataset[b].
     """
 
-    a_id: np.ndarray
-    a_idx: np.ndarray
-    b_id: np.ndarray
-    b_idx: np.ndarray
-    clouds: dict
+    a: np.ndarray
+    b: np.ndarray
+    dataset: np.ndarray    # (M,) dataset id per stacked point
+    positions: np.ndarray  # (M, 3)
+    normals: np.ndarray    # (M, 3)
+    rows: np.ndarray       # (M,) grid row per stacked point
+    cols: np.ndarray       # (M,) grid col per stacked point
 
     def __len__(self) -> int:
-        return self.a_id.size
-
-    def __getitem__(self, k: int) -> Match:
-        ca = self.clouds[int(self.a_id[k])]
-        cb = self.clouds[int(self.b_id[k])]
-        ia, ib = int(self.a_idx[k]), int(self.b_idx[k])
-        return Match(ca.dataset_id, int(ca.rows[ia]), int(ca.cols[ia]),
-                     cb.dataset_id, int(cb.rows[ib]), int(cb.cols[ib]))
+        return self.a.size
 
     def pair_counts(self) -> dict:
-        counts = {}
-        for a, b in zip(self.a_id, self.b_id):
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + 1
-        return counts
-
-
-def find_matches(qa: FilteredCloud, qb: FilteredCloud,
-                 index: SpatialIndex | None = None) -> MatchSet:
-    """One unvalidated candidate per point of qa: its nearest point of qb."""
-    if index is None:
-        index = build_index(qb)
-    if len(qa) == 0 or len(qb) == 0:
-        empty = np.zeros(0, dtype=int)
-        return MatchSet(empty, empty, empty.copy(), empty.copy(),
-                        {qa.dataset_id: qa, qb.dataset_id: qb})
-    idx, _ = index.query(qa.positions)
-    a_idx = np.arange(len(qa))
-    return MatchSet(np.full(len(qa), qa.dataset_id, dtype=int), a_idx,
-                    np.full(len(qa), qb.dataset_id, dtype=int), idx,
-                    {qa.dataset_id: qa, qb.dataset_id: qb})
+        """Candidates per (a dataset id, b dataset id) pair that has any."""
+        return dict(Counter(zip(self.dataset[self.a].tolist(),
+                                self.dataset[self.b].tolist())))
 
 
 def match_all(clouds) -> MatchSet:
-    """Candidates over all dataset pairs i < j (bundle adjustment style)."""
-    clouds = list(clouds)
+    """Candidates over all dataset pairs i < j (bundle adjustment style).
+
+    Pair (i, j) holds one unvalidated candidate per point of cloud i: its
+    nearest point of cloud j.  Candidates run pair by pair in dataset-id
+    order, then point by point; pairs with an empty cloud hold none.
+    """
+    clouds = sorted(clouds, key=lambda cloud: cloud.dataset_id)
     if len(clouds) < 2:
         raise ConfigurationError("matching needs at least two clouds")
-    ids = [c.dataset_id for c in clouds]
+    ids = [cloud.dataset_id for cloud in clouds]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("cloud dataset ids must be unique")
-    by_id = {c.dataset_id: c for c in clouds}
-    order = sorted(ids)
-    indexes = {i: build_index(by_id[i]) for i in order}
+    sizes = [len(cloud) for cloud in clouds]
+    offsets = np.cumsum([0] + sizes)
+    indexes = {j: build_index(clouds[j]) for j in range(1, len(clouds))}
 
-    parts_a_id, parts_a_idx, parts_b_id, parts_b_idx = [], [], [], []
-    for pos, i in enumerate(order):
-        for j in order[pos + 1:]:
-            ms = find_matches(by_id[i], by_id[j], index=indexes[j])
-            parts_a_id.append(ms.a_id)
-            parts_a_idx.append(ms.a_idx)
-            parts_b_id.append(ms.b_id)
-            parts_b_idx.append(ms.b_idx)
-    return MatchSet(np.concatenate(parts_a_id), np.concatenate(parts_a_idx),
-                    np.concatenate(parts_b_id), np.concatenate(parts_b_idx),
-                    by_id)
+    parts_a, parts_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for i, j in combinations(range(len(clouds)), 2):
+        if sizes[i] and sizes[j]:
+            idx, _ = indexes[j].query(clouds[i].positions)
+            parts_a.append(np.arange(offsets[i], offsets[i + 1]))
+            parts_b.append(offsets[j] + idx)
+    return MatchSet(np.concatenate(parts_a), np.concatenate(parts_b),
+                    np.repeat(ids, sizes),
+                    np.concatenate([cloud.positions for cloud in clouds]),
+                    np.concatenate([cloud.normals for cloud in clouds]),
+                    np.concatenate([cloud.rows for cloud in clouds]),
+                    np.concatenate([cloud.cols for cloud in clouds]))
 
 
 def validate_matches(ms: MatchSet, d_max: float, f_min: float) -> MatchSet:
@@ -156,21 +141,7 @@ def validate_matches(ms: MatchSet, d_max: float, f_min: float) -> MatchSet:
         raise InvalidParameterError(f"d_max must be positive, got {d_max}")
     if not -1.0 <= f_min <= 1.0:
         raise InvalidParameterError(f"f_min must lie in [-1, 1], got {f_min}")
-    if len(ms) == 0:
-        return ms
-    pos_a = np.empty((len(ms), 3))
-    pos_b = np.empty((len(ms), 3))
-    nrm_a = np.empty((len(ms), 3))
-    nrm_b = np.empty((len(ms), 3))
-    for ds_id, cloud in ms.clouds.items():
-        sel_a = ms.a_id == ds_id
-        sel_b = ms.b_id == ds_id
-        pos_a[sel_a] = cloud.positions[ms.a_idx[sel_a]]
-        nrm_a[sel_a] = cloud.normals[ms.a_idx[sel_a]]
-        pos_b[sel_b] = cloud.positions[ms.b_idx[sel_b]]
-        nrm_b[sel_b] = cloud.normals[ms.b_idx[sel_b]]
-    dist_ok = np.linalg.norm(pos_a - pos_b, axis=1) <= d_max
-    overlap_ok = np.einsum("nk,nk->n", nrm_a, nrm_b) >= f_min
-    keep = dist_ok & overlap_ok
-    return replace(ms, a_id=ms.a_id[keep], a_idx=ms.a_idx[keep],
-                   b_id=ms.b_id[keep], b_idx=ms.b_idx[keep])
+    dist = np.linalg.norm(ms.positions[ms.a] - ms.positions[ms.b], axis=1)
+    overlap = np.einsum("nk,nk->n", ms.normals[ms.a], ms.normals[ms.b])
+    keep = (dist <= d_max) & (overlap >= f_min)
+    return replace(ms, a=ms.a[keep], b=ms.b[keep])

@@ -19,8 +19,7 @@ import numpy as np
 
 from .dataset import FrameTable, ScanDataset, project_to_base
 from .errors import (ConfigurationError, MatchingFailure, SingularSystemError)
-from .geomfilter import (VIEW_DIRECTION_RULE, FilteredCloud, compute_scale,
-                         filter_cloud)
+from .geomfilter import VIEW_DIRECTION_RULE, compute_scale, filter_cloud
 from .kincore import (JointKind, KinematicModel, ParamMask, chain_derivatives,
                       chain_poses, default_mask, denormalize_params,
                       forward_kinematics, normalize_params, pack_params,
@@ -166,44 +165,44 @@ def build_correspondences(ms: MatchSet, datasets: dict,
 
     ``datasets`` maps dataset id to the (normalized) ScanDataset.
     ``anchor_models`` maps dataset ids whose pose is held fixed to the
-    model whose chain poses, evaluated once here, hold them.  Frames are
-    the (dataset, frame id) pairs of the datasets' frame tables that some
-    endpoint uses; the frames of anchored datasets are frozen.
+    model whose chain poses, evaluated once here, hold them.  Each
+    endpoint's raw point and frame id are gathered through its cell in
+    the datasets' grids stacked in id order.  Frames are the (dataset,
+    frame id) pairs of the datasets' frame tables that some endpoint
+    uses; the frames of anchored datasets are frozen.
     """
     anchor_models = anchor_models or {}
-    count = len(ms)
-    points_a = np.ones((count, 4))
-    points_b = np.ones((count, 4))
-    normals = np.empty((count, 3))
-    frame_a = np.empty(count, dtype=int)
-    frame_b = np.empty(count, dtype=int)
-    tables = [datasets[ds_id].frames.joints for ds_id in ms.clouds]
-    offsets = np.cumsum([0] + [len(table) for table in tables])
-
-    for offset, (ds_id, cloud) in zip(offsets, ms.clouds.items()):
-        ds = datasets[ds_id]
-        for ids, idx, points, frame in ((ms.a_id, ms.a_idx, points_a, frame_a),
-                                        (ms.b_id, ms.b_idx, points_b, frame_b)):
-            sel = ids == ds_id
-            cells = cloud.rows[idx[sel]], cloud.cols[idx[sel]]
-            points[sel, :3] = ds.points[cells]
-            frame[sel] = offset + ds.frames.ids[cells]
-        sel = ms.a_id == ds_id
-        normals[sel] = cloud.normals[ms.a_idx[sel]]
+    ids = sorted(datasets)
+    grids = [datasets[ds_id] for ds_id in ids]
+    tables = [ds.frames.joints for ds in grids]
+    frame_offsets = np.cumsum([0] + [len(table) for table in tables])
+    cell_offsets = np.cumsum([0] + [ds.valid.size for ds in grids])
+    # homogeneous raw point and frame of every grid cell; invalid cells
+    # read frame offset - 1, but no stacked point lies on one
+    raw_points = np.ones((cell_offsets[-1], 4))
+    raw_points[:, :3] = np.concatenate([ds.points.reshape(-1, 3) for ds in grids])
+    cell_frames = np.concatenate([offset + ds.frames.ids.ravel()
+                                  for offset, ds in zip(frame_offsets, grids)])
+    grid_of = np.searchsorted(ids, ms.dataset)
+    widths = np.array([ds.cols for ds in grids])
+    cell = cell_offsets[grid_of] + ms.rows * widths[grid_of] + ms.cols
+    cell_a, cell_b = cell[ms.a], cell[ms.b]
+    frame_a, frame_b = cell_frames[cell_a], cell_frames[cell_b]
 
     # keep the frames some endpoint uses, in (dataset, frame id) order
-    used = np.zeros(offsets[-1], dtype=bool)
+    used = np.zeros(frame_offsets[-1], dtype=bool)
     used[frame_a] = used[frame_b] = True
     renumber = np.cumsum(used) - 1
-    owner = np.repeat(list(ms.clouds), np.diff(offsets))[used]
+    owner = np.repeat(ids, np.diff(frame_offsets))[used]
     frame_joints = np.concatenate(tables)[used]
     frozen_transforms = np.broadcast_to(np.eye(4), (len(owner), 4, 4)).copy()
     for ds_id, anchor in anchor_models.items():
-        mine = owner == ds_id
+        mine = slice(*np.searchsorted(owner, [ds_id, ds_id + 1]))
         frozen_transforms[mine] = chain_poses(anchor, frame_joints[mine])
 
-    return CorrespondenceSet(points_a, points_b, renumber[frame_a],
-                             renumber[frame_b], normals, frame_joints,
+    return CorrespondenceSet(raw_points[cell_a], raw_points[cell_b],
+                             renumber[frame_a], renumber[frame_b],
+                             ms.normals[ms.a], frame_joints,
                              np.isin(owner, list(anchor_models)),
                              frozen_transforms)
 
@@ -348,31 +347,25 @@ def calibrate(datasets, k_init: KinematicModel,
     k_hat = unpack_params(normalize_params(pack_params(k_init), s, template),
                           template)
 
-    rigid_subcase = k_init.joint_count == 0
-    anchor_model = k_hat if rigid_subcase else None
+    anchors = {0: k_hat} if k_init.joint_count == 0 else {}
 
     prev_denorm = denormalize_params(pack_params(k_hat), s, template)
     iterations = []
     converged = False
 
     for _ in range(cfg.i_max):
-        clouds = []
-        for ds_id, ds in enumerate(datasets_hat):
-            proj_model = anchor_model if (rigid_subcase and ds_id == 0) else k_hat
-            proj = project_to_base(ds, proj_model)
-            clouds.append(filter_cloud(proj, cfg.n, cfg.m, cfg.g_min,
-                                       dataset_id=ds_id,
-                                       orientation_rule=cfg.orientation_rule))
-        candidates = match_all(clouds)
+        candidates = match_all(
+            filter_cloud(project_to_base(ds, anchors.get(ds_id, k_hat)),
+                         cfg.n, cfg.m, cfg.g_min, dataset_id=ds_id,
+                         orientation_rule=cfg.orientation_rule)
+            for ds_id, ds in enumerate(datasets_hat))
         matches = validate_matches(candidates, d_max_hat, cfg.f_min)
         if len(matches) == 0:
+            counts = candidates.pair_counts()
             raise MatchingFailure(
                 "no validated matches in this iteration; candidate counts per "
-                f"dataset pair: {candidates.pair_counts()}",
-                pair_counts=candidates.pair_counts(),
-            )
+                f"dataset pair: {counts}", pair_counts=counts)
 
-        anchors = {0: anchor_model} if rigid_subcase else {}
         corr = build_correspondences(matches, dict(enumerate(datasets_hat)),
                                      anchor_models=anchors)
         result = lm_minimize(corr, k_hat, mask, lambda0=cfg.lm_lambda0,

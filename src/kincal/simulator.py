@@ -354,12 +354,6 @@ def simulate_dataset(scene, model: KinematicModel, spec: SensorSpec,
                                   frame_joints))
 
 
-def simulate_scans(scene, model, spec, trajectories, seed: int):
-    """One dataset per trajectory element, with decorrelated noise."""
-    return [simulate_dataset(scene, model, spec, traj, seed + 1000 * i)
-            for i, traj in enumerate(trajectories)]
-
-
 # --- model perturbation and evaluation ----------------------------------------
 
 def perturb_model(model: KinematicModel, mask: ParamMask,

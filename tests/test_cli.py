@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kincal as kc
+from kincal import matching
 from kincal.cli import main
 
 
@@ -84,12 +85,14 @@ def test_config_file_loses_to_explicit_flags(rig):
 
 def test_calibrate_and_evaluate_roundtrip(rig, capsys):
     tmp, *_ = rig
+    workers = matching.QUERY_WORKERS
     assert main(simulate_args(rig, tmp / "d0", seed=1)) == 0
     assert main(simulate_args(rig, tmp / "d1", seed=2)) == 0
     code = main(["calibrate", str(tmp / "d0"), str(tmp / "d1"),
                  "--model", str(tmp / "model.txt"),
                  "--out", str(tmp / "result"), "--threads", "1"])
     assert code == 0
+    assert matching.QUERY_WORKERS == workers
     report = (tmp / "result" / "report.txt").read_text()
     assert "converged True" in report
     csv_lines = (tmp / "result" / "iterations.csv").read_text().splitlines()
@@ -116,6 +119,34 @@ def test_calibrate_needs_two_datasets(rig, capsys):
         main(["calibrate", str(tmp / "d0"), "--model", str(tmp / "model.txt"),
               "--out", str(tmp / "result")])
     assert info.value.code == 2
+
+
+def test_calibrate_restores_threads_when_it_fails(rig, capsys):
+    tmp, *_ = rig
+    workers = matching.QUERY_WORKERS
+    noisy = ["--sigma-abs", "0.001"]
+    assert main(simulate_args(rig, tmp / "d0", seed=1, extra=noisy)) == 0
+    assert main(simulate_args(rig, tmp / "d1", seed=2, extra=noisy)) == 0
+    code = main(["calibrate", str(tmp / "d0"), str(tmp / "d1"),
+                 "--model", str(tmp / "model.txt"), "--out", str(tmp / "result"),
+                 "--threads", "1", "--d-max", "1e-9"])
+    assert code == 1
+    assert "no validated matches" in capsys.readouterr().err
+    assert matching.QUERY_WORKERS == workers
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_calibrate_rejects_thread_counts_below_one(rig, capsys, threads):
+    tmp, *_ = rig
+    assert main(simulate_args(rig, tmp / "d0", seed=1)) == 0
+    assert main(simulate_args(rig, tmp / "d1", seed=2)) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["calibrate", str(tmp / "d0"), str(tmp / "d1"),
+              "--model", str(tmp / "model.txt"), "--out", str(tmp / "result"),
+              "--threads", threads])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp / "result").exists()
 
 
 def test_evaluate_identical_models(rig, capsys):

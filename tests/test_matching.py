@@ -50,6 +50,11 @@ def test_tie_break_lowest_grid_index():
     cloud = make_cloud([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     idx, _ = kc.build_index(cloud).query(np.zeros((1, 3)))
     assert idx[0] == 0
+    # sqrt(0.75) squared rounds below 0.75: the tie still resolves
+    cloud = make_cloud(np.zeros((3, 3)))
+    idx, dist = kc.build_index(cloud).query(np.full((1, 3), 0.5))
+    assert idx[0] == 0
+    assert dist[0] == np.sqrt(0.75)
 
 
 def test_empty_index():
@@ -59,24 +64,23 @@ def test_empty_index():
     assert np.isinf(dist).all()
 
 
-def test_find_matches_single_direction(rng):
+def test_match_all_single_direction(rng):
     qa = make_cloud(rng.uniform(-1, 1, (20, 3)), dataset_id=0)
     qb = make_cloud(rng.uniform(-1, 1, (30, 3)), dataset_id=1)
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     assert len(ms) == 20
-    np.testing.assert_array_equal(ms.a_idx, np.arange(20))
-    np.testing.assert_array_equal(ms.b_idx,
+    np.testing.assert_array_equal(ms.a, np.arange(20))
+    np.testing.assert_array_equal(ms.b - 20,
                                   brute_force_nn(qa.positions, qb.positions))
-    m = ms[3]
-    assert m.a_id == 0 and m.b_id == 1
+    assert ms.dataset[ms.a[3]] == 0 and ms.dataset[ms.b[3]] == 1
 
 
-def test_find_matches_same_cloud_twice(rng):
+def test_match_all_same_cloud_twice(rng):
     pts = rng.uniform(-1, 1, (15, 3))
     qa = make_cloud(pts, dataset_id=0)
     qb = make_cloud(pts, dataset_id=1)
-    ms = kc.find_matches(qa, qb)
-    np.testing.assert_array_equal(ms.a_idx, ms.b_idx)
+    ms = kc.match_all([qa, qb])
+    np.testing.assert_array_equal(ms.a, ms.b - 15)
 
 
 def test_match_all_pair_blocks(rng):
@@ -105,7 +109,7 @@ def test_match_all_needs_two_clouds(rng):
 def test_validate_distance():
     qa = make_cloud([[0.0, 0.0, 0.0]], dataset_id=0)
     qb = make_cloud([[0.025, 0.0, 0.0]], dataset_id=1)
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     assert len(kc.validate_matches(ms, d_max=0.020, f_min=-1.0)) == 0
     assert len(kc.validate_matches(ms, d_max=0.030, f_min=-1.0)) == 1
 
@@ -115,7 +119,7 @@ def test_validate_normal_agreement():
     qa = make_cloud([[0.0, 0.0, 0.0]], dataset_id=0, normals=[[0.0, 0.0, 1.0]])
     qb = make_cloud([[0.0, 0.0, 0.0]], dataset_id=1,
                     normals=[[np.sin(angle), 0.0, np.cos(angle)]])
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     assert len(kc.validate_matches(ms, d_max=1.0, f_min=0.8)) == 0
     assert len(kc.validate_matches(ms, d_max=1.0, f_min=0.69)) == 1
 
@@ -123,14 +127,14 @@ def test_validate_normal_agreement():
 def test_validate_identical_points_kept():
     qa = make_cloud([[0.3, 0.2, 0.1]], dataset_id=0)
     qb = make_cloud([[0.3, 0.2, 0.1]], dataset_id=1)
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     assert len(kc.validate_matches(ms, d_max=1e-9, f_min=1.0)) == 1
 
 
 def test_validate_parameter_ranges(rng):
     qa = make_cloud(rng.uniform(-1, 1, (3, 3)), dataset_id=0)
     qb = make_cloud(rng.uniform(-1, 1, (3, 3)), dataset_id=1)
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     with pytest.raises(InvalidParameterError):
         kc.validate_matches(ms, d_max=0.0, f_min=0.5)
     with pytest.raises(InvalidParameterError):
@@ -140,13 +144,13 @@ def test_validate_parameter_ranges(rng):
 def test_validate_is_subset(rng):
     qa = make_cloud(rng.uniform(-1, 1, (200, 3)), dataset_id=0, rng=rng)
     qb = make_cloud(rng.uniform(-1, 1, (200, 3)), dataset_id=1, rng=rng)
-    ms = kc.find_matches(qa, qb)
+    ms = kc.match_all([qa, qb])
     kept = kc.validate_matches(ms, d_max=0.2, f_min=0.0)
     assert len(kept) <= len(ms)
-    all_pairs = {(int(a), int(b)) for a, b in zip(ms.a_idx, ms.b_idx)}
-    kept_pairs = {(int(a), int(b)) for a, b in zip(kept.a_idx, kept.b_idx)}
+    all_pairs = {(int(a), int(b)) for a, b in zip(ms.a, ms.b)}
+    kept_pairs = {(int(a), int(b)) for a, b in zip(kept.a, kept.b)}
     assert kept_pairs <= all_pairs
     # every survivor satisfies both predicates
-    for a, b in zip(kept.a_idx, kept.b_idx):
+    for a, b in zip(kept.a, kept.b - 200):
         assert np.linalg.norm(qa.positions[a] - qb.positions[b]) <= 0.2
         assert qa.normals[a] @ qb.normals[b] >= 0.0

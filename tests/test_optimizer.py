@@ -368,12 +368,12 @@ def test_correspondence_frames_carry_each_endpoints_joints():
     assert len(ms) > 0
     corr = kc.build_correspondences(ms, dict(enumerate(datasets)),
                                     anchor_models={1: truth})
-    for ids, idx, frame in ((ms.a_id, ms.a_idx, corr.frame_a),
-                            (ms.b_id, ms.b_idx, corr.frame_b)):
+    for ends, points, frame in ((ms.a, corr.points_a, corr.frame_a),
+                                (ms.b, corr.points_b, corr.frame_b)):
         for ds_id, ds in enumerate(datasets):
-            sel = ids == ds_id
-            cloud = ms.clouds[ds_id]
-            cells = cloud.rows[idx[sel]], cloud.cols[idx[sel]]
+            sel = ms.dataset[ends] == ds_id
+            cells = ms.rows[ends[sel]], ms.cols[ends[sel]]
+            np.testing.assert_array_equal(points[sel, :3], ds.points[cells])
             np.testing.assert_array_equal(corr.frame_joints[frame[sel]],
                                           ds.joints[cells])
             # exactly the anchored dataset's endpoints are frozen
@@ -383,6 +383,8 @@ def test_correspondence_frames_carry_each_endpoints_joints():
     frozen = corr.frame_frozen
     np.testing.assert_array_equal(corr.frozen_transforms[frozen],
                                   kc.chain_poses(truth, corr.frame_joints[frozen]))
+    np.testing.assert_array_equal(corr.frozen_transforms[~frozen],
+                                  np.broadcast_to(np.eye(4), ((~frozen).sum(), 4, 4)))
 
 
 def test_rigid_subcase_with_three_datasets_solves():

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import matching
+from . import matching, textio
 from .dataset import SensorKind, load_dataset, project_to_base, save_dataset
 from .errors import KincalError, ParseError
 from .kincore import load_model, save_model
@@ -174,15 +174,11 @@ def cmd_evaluate(args):
     if args.probes is not None:
         _require_path(args.probes)
         probes = []
-        with open(args.probes) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    probes.append(np.array([float(t) for t in line.split()]))
-                except ValueError as exc:
-                    raise ParseError(f"{args.probes}:{lineno}: {exc}") from None
+        for lineno, tokens in textio.records(args.probes):
+            try:
+                probes.append(np.array([float(t) for t in tokens]))
+            except (ValueError, IndexError) as exc:
+                raise textio.located(args.probes, lineno, exc) from None
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         probes = list(rng.uniform(-np.pi, np.pi,

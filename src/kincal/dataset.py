@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textio
 from .errors import DimensionError, ExtrapolationError, ParseError
 from .kincore import KinematicModel, chain_poses
 
@@ -169,95 +170,76 @@ def interpolate_joints(samples, t) -> np.ndarray:
 #   points  one record per cell: i j valid x y z
 #   joints  one record per cell: i j q_1 ... q_n
 # Decimal meters and radians; invalid cells may carry nan coordinates.
+# A cell has at most one record per file; textio holds the record rules.
 
 def save_dataset(ds: ScanDataset, path):
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "meta"), "w") as fh:
-        fh.write(f"kind {ds.kind.value}\n")
-        fh.write(f"rows {ds.rows}\n")
-        fh.write(f"cols {ds.cols}\n")
-        fh.write(f"joint_count {ds.joint_count}\n")
-    with open(os.path.join(path, "points"), "w") as fh:
-        for i in range(ds.rows):
-            for j in range(ds.cols):
-                x, y, z = (float(v) for v in ds.points[i, j])
-                fh.write(f"{i} {j} {int(ds.valid[i, j])} {x!r} {y!r} {z!r}\n")
-    with open(os.path.join(path, "joints"), "w") as fh:
-        for i in range(ds.rows):
-            for j in range(ds.cols):
-                qs = " ".join(repr(float(q)) for q in ds.joints[i, j])
-                fh.write(f"{i} {j} {qs}\n".rstrip() + "\n")
+    textio.write_lines(os.path.join(path, "meta"),
+                       [f"kind {ds.kind.value}", f"rows {ds.rows}", f"cols {ds.cols}",
+                        f"joint_count {ds.joint_count}"])
+    cells = [f"{i} {j}" for i in range(ds.rows) for j in range(ds.cols)]
+    flags = ds.valid.reshape(-1).astype(int).tolist()
+    points = textio.float_rows(ds.points.reshape(-1, 3))
+    textio.write_lines(os.path.join(path, "points"),
+                       [f"{c} {v} {p}" for c, v, p in zip(cells, flags, points)])
+    joints = textio.float_rows(ds.joints.reshape(len(cells), ds.joint_count))
+    textio.write_lines(os.path.join(path, "joints"),
+                       [f"{c} {q}".rstrip() for c, q in zip(cells, joints)])
+
+
+_META_KEYS = ("kind", "rows", "cols", "joint_count")
 
 
 def _read_meta(path):
-    meta = {}
     meta_path = os.path.join(path, "meta")
-    with open(meta_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError(f"{meta_path}:{lineno}: expected 'key value'")
-            meta[parts[0]] = parts[1]
-    for key in ("kind", "rows", "cols", "joint_count"):
+    meta = {}
+    for lineno, tokens in textio.records(meta_path):
+        try:
+            textio.expect_fields(tokens, 2)
+            key, value = tokens
+            if key == "kind":
+                meta[key] = SensorKind(value)
+            elif key in _META_KEYS:
+                meta[key] = int(value)
+                if meta[key] < 0:
+                    raise ValueError(f"{key} must not be negative, got {value}")
+        except (ValueError, IndexError) as exc:
+            raise textio.located(meta_path, lineno, exc) from None
+    for key in _META_KEYS:
         if key not in meta:
             raise ParseError(f"{meta_path}: missing key {key!r}")
-    try:
-        kind = SensorKind(meta["kind"])
-    except ValueError:
-        raise ParseError(f"{meta_path}: unknown sensor kind {meta['kind']!r}") from None
-    try:
-        return kind, int(meta["rows"]), int(meta["cols"]), int(meta["joint_count"])
-    except ValueError as exc:
-        raise ParseError(f"{meta_path}: {exc}") from None
+    return tuple(meta[key] for key in _META_KEYS)
+
+
+def _read_cells(path, rows, cols, width, flagged=False):
+    """The ``i j [flag] v_1 ... v_width`` records of a per-cell file as a
+    (rows, cols, width) grid and a (rows, cols) grid of their flags;
+    cells without a record hold nan and False."""
+    values, flags = {}, []
+    for lineno, tokens in textio.records(path):
+        try:
+            textio.expect_fields(tokens, 2 + flagged + width)
+            i, j = int(tokens[0]), int(tokens[1])
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"cell ({i}, {j}) outside grid")
+            cell = i * cols + j
+            if cell in values:
+                raise ValueError(f"cell ({i}, {j}) is listed twice")
+            flags.append(flagged and textio.flag(tokens[2]))
+            values[cell] = [float(t) for t in tokens[2 + flagged:]]
+        except (ValueError, IndexError) as exc:
+            raise textio.located(path, lineno, exc) from None
+    index = list(values)
+    grid = np.full((rows * cols, width), np.nan)
+    grid[index] = np.reshape(list(values.values()), (len(index), width))
+    flag_grid = np.zeros(rows * cols, dtype=bool)
+    flag_grid[index] = flags
+    return grid.reshape(rows, cols, width), flag_grid.reshape(rows, cols)
 
 
 def load_dataset(path) -> ScanDataset:
     kind, rows, cols, joint_count = _read_meta(path)
-    points = np.full((rows, cols, 3), np.nan)
-    valid = np.zeros((rows, cols), dtype=bool)
-    joints = np.full((rows, cols, joint_count), np.nan)
-
-    points_path = os.path.join(path, "points")
-    with open(points_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 6:
-                raise ParseError(f"{points_path}:{lineno}: expected 6 fields, got {len(tokens)}")
-            try:
-                i, j, flag = int(tokens[0]), int(tokens[1]), int(tokens[2])
-                xyz = [float(t) for t in tokens[3:6]]
-            except ValueError as exc:
-                raise ParseError(f"{points_path}:{lineno}: {exc}") from None
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ParseError(f"{points_path}:{lineno}: cell ({i}, {j}) outside grid")
-            points[i, j] = xyz
-            valid[i, j] = bool(flag)
-
-    joints_path = os.path.join(path, "joints")
-    with open(joints_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 2 + joint_count:
-                raise ParseError(
-                    f"{joints_path}:{lineno}: expected {2 + joint_count} fields, "
-                    f"got {len(tokens)}"
-                )
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                qs = [float(t) for t in tokens[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{joints_path}:{lineno}: {exc}") from None
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ParseError(f"{joints_path}:{lineno}: cell ({i}, {j}) outside grid")
-            joints[i, j] = qs
-
+    points, valid = _read_cells(os.path.join(path, "points"), rows, cols, 3,
+                                flagged=True)
+    joints, _ = _read_cells(os.path.join(path, "joints"), rows, cols, joint_count)
     return ScanDataset(kind, points, valid, joints)

@@ -121,20 +121,6 @@ def orient_normal(normal, position, sensor_origin, rule=VIEW_DIRECTION_RULE):
     return normal if keep else -normal
 
 
-def _orient_grid(normals, cloud: ProjectedCloud, rule):
-    if rule == VIEW_DIRECTION_RULE:
-        sign_value = np.einsum("rck,rck->rc", normals,
-                               cloud.points - cloud.sensor_origins)
-    elif rule == ORIGIN_POSITION_RULE:
-        sign_value = np.einsum("rck,rck->rc", normals, cloud.sensor_origins)
-    else:
-        raise InvalidParameterError(f"unknown orientation rule {rule!r}")
-    flip = sign_value > 0.0
-    out = normals.copy()
-    out[flip] = -out[flip]
-    return out
-
-
 def normal_overlap_grid(normals, defined, n: int, m: int):
     """Windowed mean |dot| of each cell's normal with its neighbors.
 
@@ -172,8 +158,7 @@ def normal_overlap(normals, defined, i: int, j: int, n: int, m: int):
 
 
 def filter_cloud(cloud: ProjectedCloud, n: int, m: int, g_min: float,
-                 dataset_id: int = 0,
-                 orientation_rule: str = VIEW_DIRECTION_RULE) -> FilteredCloud:
+                 dataset_id: int = 0) -> FilteredCloud:
     """Keep valid cells whose oriented normal is defined and whose
     windowed normal overlap reaches g_min.
 
@@ -184,7 +169,9 @@ def filter_cloud(cloud: ProjectedCloud, n: int, m: int, g_min: float,
     if not 0.0 <= g_min <= 1.0:
         raise InvalidParameterError(f"g_min must lie in [0, 1], got {g_min}")
     normals, defined = estimate_normals(cloud)
-    normals = _orient_grid(normals, cloud, orientation_rule)
+    # orient_normal's view-direction rule: every normal faces its sensor
+    flip = np.einsum("rck,rck->rc", normals, cloud.points - cloud.sensor_origins) > 0.0
+    normals[flip] = -normals[flip]
     overlap, counts = normal_overlap_grid(normals, defined, n, m)
     window = (2 * n + 1) * (2 * m + 1)
     keep = defined & (overlap >= g_min) & (2 * counts >= window)

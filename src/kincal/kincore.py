@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import textio
 from .errors import DimensionError, InvalidParameterError, ParseError
 from .transforms import RigidTransform, rot_x, rot_y, rot_z
 
@@ -368,75 +369,43 @@ def save_model(model: KinematicModel, mask: ParamMask, path):
     in radians, lengths in meters, mask flags 0/1.
     """
     mask.check(model)
-    flags = mask.flags.astype(int)
+    bits = mask.flags.astype(int).tolist()
     lines = [_HEADER]
-
-    def seg_line(tag, seg, offset):
+    for k, (tag, seg) in enumerate([("base", model.base)]
+                                   + [("seg", link) for link in model.links]):
         kind = seg.joint.value if seg.joint is not None else "none"
-        vals = " ".join(repr(float(v)) for v in seg.params)
-        bits = " ".join(str(b) for b in flags[offset:offset + 4])
-        return f"{tag} {kind} {vals} {bits}"
-
-    lines.append(seg_line("base", model.base, 0))
-    for i, link in enumerate(model.links):
-        lines.append(seg_line("seg", link, 4 * (i + 1)))
-    o = 4 * (1 + len(model.links))
-    vals = " ".join(repr(float(v)) for v in model.ee.params)
-    bits = " ".join(str(b) for b in flags[o:o + 6])
-    lines.append(f"ee {vals} {bits}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        flags = " ".join(map(str, bits[4 * k:4 * k + 4]))
+        lines.append(f"{tag} {kind} {textio.floats(seg.params)} {flags}")
+    flags = " ".join(map(str, bits[-6:]))
+    lines.append(f"ee {textio.floats(model.ee.params)} {flags}")
+    textio.write_lines(path, lines)
 
 
 def load_model(path) -> tuple[KinematicModel, ParamMask]:
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [(i + 1, line) for i, line in enumerate(raw)
-             if line and not line.startswith("#")]
-    if not lines or lines[0][1] != _HEADER:
-        raise ParseError(f"{path}: missing '{_HEADER}' header")
-
-    def parse_kind(token, lineno):
-        if token == "none":
-            return None
+    """Read a model file; its lines must run base, seg..., ee."""
+    base, links, ee, bits = None, [], None, []
+    for lineno, tokens in textio.records(path, _HEADER):
         try:
-            return JointKind(token)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: unknown joint kind {token!r}") from None
-
-    base = None
-    links = []
-    ee = None
-    flag_parts = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
-        tag = tokens[0]
-        try:
-            if tag in ("base", "seg"):
-                if len(tokens) != 10:
-                    raise ParseError(f"{path}:{lineno}: expected 10 fields, got {len(tokens)}")
-                kind = parse_kind(tokens[1], lineno)
-                vals = [float(t) for t in tokens[2:6]]
-                seg = Segment(*vals, joint=kind)
-                flag_parts.append([int(t) for t in tokens[6:10]])
+            tag = tokens[0]
+            if tag not in ("base", "seg", "ee"):
+                raise ValueError(f"unknown line tag {tag!r}")
+            if ee is not None or (tag == "base") != (base is None):
+                raise ValueError(f"unexpected {tag} line: model lines run "
+                                 "base, seg..., ee")
+            if tag == "ee":
+                textio.expect_fields(tokens, 13)
+                ee = EESegment(*map(float, tokens[1:7]))
+            else:
+                textio.expect_fields(tokens, 10)
+                kind = None if tokens[1] == "none" else JointKind(tokens[1])
+                seg = Segment(*map(float, tokens[2:6]), joint=kind)
                 if tag == "base":
-                    if base is not None:
-                        raise ParseError(f"{path}:{lineno}: duplicate base line")
                     base = seg
                 else:
                     links.append(seg)
-            elif tag == "ee":
-                if len(tokens) != 13:
-                    raise ParseError(f"{path}:{lineno}: expected 13 fields, got {len(tokens)}")
-                ee = EESegment(*[float(t) for t in tokens[1:7]])
-                flag_parts.append([int(t) for t in tokens[7:13]])
-            else:
-                raise ParseError(f"{path}:{lineno}: unknown line tag {tag!r}")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if base is None or ee is None:
+            bits += [textio.flag(t) for t in tokens[-6 if tag == "ee" else -4:]]
+        except (ValueError, IndexError) as exc:
+            raise textio.located(path, lineno, exc) from None
+    if ee is None:
         raise ParseError(f"{path}: model needs a base line and an ee line")
-    model = KinematicModel(base, tuple(links), ee)
-    mask = ParamMask(np.concatenate(flag_parts).astype(bool))
-    mask.check(model)
-    return model, mask
+    return KinematicModel(base, tuple(links), ee), ParamMask(bits)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FrameTable, ScanDataset, project_to_base
 from .errors import (ConfigurationError, MatchingFailure, SingularSystemError)
-from .geomfilter import VIEW_DIRECTION_RULE, compute_scale, filter_cloud
+from .geomfilter import compute_scale, filter_cloud
 from .kincore import (JointKind, KinematicModel, ParamMask, chain_derivatives,
                       chain_poses, default_mask, denormalize_params,
                       forward_kinematics, normalize_params, pack_params,
@@ -44,7 +44,6 @@ class CalibrationConfig:
     epsilon: float = 1e-4
     i_max: int = 50
     mask: ParamMask | None = None
-    orientation_rule: str = VIEW_DIRECTION_RULE
     # inner LM solve
     lm_lambda0: float = 1e-4
     lm_max_iterations: int = 25
@@ -356,8 +355,7 @@ def calibrate(datasets, k_init: KinematicModel,
     for _ in range(cfg.i_max):
         candidates = match_all(
             filter_cloud(project_to_base(ds, anchors.get(ds_id, k_hat)),
-                         cfg.n, cfg.m, cfg.g_min, dataset_id=ds_id,
-                         orientation_rule=cfg.orientation_rule)
+                         cfg.n, cfg.m, cfg.g_min, dataset_id=ds_id)
             for ds_id, ds in enumerate(datasets_hat))
         matches = validate_matches(candidates, d_max_hat, cfg.f_min)
         if len(matches) == 0:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from . import textio
 from .errors import DimensionError
 
 
@@ -22,24 +25,10 @@ def write_ply(path, points, colors=None):
         if colors.min(initial=0) < 0 or colors.max(initial=0) > 255:
             raise DimensionError("color channels must lie in [0, 255]")
 
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {points.shape[0]}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
+    header = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+              "property float x", "property float y", "property float z"]
+    rows = textio.float_rows(points)
     if colors is not None:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
-    header.append("end_header")
-
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for k in range(points.shape[0]):
-            x, y, z = (float(v) for v in points[k])
-            line = f"{x!r} {y!r} {z!r}"
-            if colors is not None:
-                r, g, b = (int(v) for v in colors[k])
-                line += f" {r} {g} {b}"
-            fh.write(line + "\n")
+        rows = (f"{xyz} {r} {g} {b}" for xyz, (r, g, b) in zip(rows, colors.tolist()))
+    textio.write_lines(path, itertools.chain(header, ["end_header"], rows))

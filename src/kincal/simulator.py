@@ -8,11 +8,11 @@ ray; all randomness is a pure function of the seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .dataset import FrameTable, ScanDataset, SensorKind, interpolate_joints
 from .errors import (ConfigurationError, DimensionError, InvalidParameterError,
                      ParseError)
@@ -428,114 +428,90 @@ def save_scene(scene, path):
     lines = [_SCENE_HEADER]
     for prim in scene:
         if isinstance(prim, Plane):
-            lines.append("plane " + _fmt(prim.point) + " " + _fmt(prim.normal))
+            lines.append(f"plane {textio.floats(prim.point, prim.normal)}")
         elif isinstance(prim, Sphere):
-            lines.append("sphere " + _fmt(prim.center) + f" {prim.radius!r}")
+            lines.append(f"sphere {textio.floats(prim.center, prim.radius)}")
         elif isinstance(prim, Box):
             rotvec = _rotation_to_rotvec(prim.rotation)
-            lines.append("box " + _fmt(prim.center) + " "
-                         + _fmt(prim.half_extents) + " " + _fmt(rotvec))
+            lines.append(f"box {textio.floats(prim.center, prim.half_extents, rotvec)}")
         elif isinstance(prim, TriangleMesh):
             lines.append("mesh")
-            lines.extend("v " + _fmt(v) for v in prim.vertices)
-            lines.extend("f " + " ".join(str(i) for i in f) for f in prim.faces)
+            lines.extend(f"v {v}" for v in textio.float_rows(prim.vertices))
+            lines.extend("f " + " ".join(map(str, f)) for f in prim.faces.tolist())
             lines.append("endmesh")
         else:
             raise InvalidParameterError(f"unknown primitive {type(prim).__name__}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_lines(path, lines)
+
+
+# fields per line, tag included
+_SCENE_FIELDS = {"plane": 7, "sphere": 5, "box": 10, "mesh": 1}
+_MESH_FIELDS = {"v": 4, "f": 4, "endmesh": 1}
 
 
 def load_scene(path):
-    with open(path) as fh:
-        raw = [(i + 1, line.strip()) for i, line in enumerate(fh)]
-    lines = [(n, l) for n, l in raw if l and not l.startswith("#")]
-    if not lines or lines[0][1] != _SCENE_HEADER:
-        raise ParseError(f"{path}: missing '{_SCENE_HEADER}' header")
     scene = []
-    mesh_vertices = None
-    mesh_faces = None
-    for lineno, line in lines[1:]:
-        tokens = line.split()
-        tag = tokens[0]
+    mesh = None  # vertex ("v") and face ("f") rows of an open mesh block
+    for lineno, tokens in textio.records(path, _SCENE_HEADER):
         try:
-            if mesh_vertices is not None:
-                if tag == "v":
-                    mesh_vertices.append([float(t) for t in tokens[1:4]])
-                elif tag == "f":
-                    mesh_faces.append([int(t) for t in tokens[1:4]])
-                elif tag == "endmesh":
-                    scene.append(TriangleMesh(mesh_vertices, mesh_faces))
-                    mesh_vertices = mesh_faces = None
-                else:
-                    raise ParseError(f"{path}:{lineno}: unexpected {tag!r} inside mesh")
+            tag = tokens[0]
+            fields = (_SCENE_FIELDS if mesh is None else _MESH_FIELDS).get(tag)
+            if fields is None:
+                raise ValueError(f"unknown primitive {tag!r}" if mesh is None
+                                 else f"unexpected {tag!r} inside mesh")
+            if tag == "box" and len(tokens) == 7:  # no rotation vector: unrotated
+                tokens += ["0.0"] * 3
+            elif tag == "box" and len(tokens) != 10:
+                raise ValueError("box takes 6 or 9 numbers")
+            textio.expect_fields(tokens, fields)
+            vals = [(int if tag == "f" else float)(t) for t in tokens[1:]]
+            if tag in ("v", "f"):
+                mesh[tag].append(vals)
+            elif tag == "mesh":
+                mesh = {"v": [], "f": []}
+            elif tag == "endmesh":
+                scene.append(TriangleMesh(mesh["v"], mesh["f"]))
+                mesh = None
             elif tag == "plane":
-                vals = [float(t) for t in tokens[1:7]]
                 scene.append(Plane(vals[:3], vals[3:]))
             elif tag == "sphere":
-                vals = [float(t) for t in tokens[1:5]]
                 scene.append(Sphere(vals[:3], vals[3]))
-            elif tag == "box":
-                vals = [float(t) for t in tokens[1:]]
-                if len(vals) == 6:
-                    scene.append(Box(vals[:3], vals[3:6]))
-                elif len(vals) == 9:
-                    scene.append(Box(vals[:3], vals[3:6],
-                                     _rotvec_to_rotation(np.array(vals[6:9]))))
-                else:
-                    raise ParseError(f"{path}:{lineno}: box takes 6 or 9 numbers")
-            elif tag == "mesh":
-                mesh_vertices, mesh_faces = [], []
             else:
-                raise ParseError(f"{path}:{lineno}: unknown primitive {tag!r}")
+                scene.append(Box(vals[:3], vals[3:6], _rotvec_to_rotation(np.array(vals[6:]))))
         except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if mesh_vertices is not None:
+            raise textio.located(path, lineno, exc) from None
+    if mesh is not None:
         raise ParseError(f"{path}: unterminated mesh block")
     return scene
 
 
 def save_trajectory(traj: TrajectorySpec, path):
-    lines = [_TRAJ_HEADER]
-    for pose in traj.static_poses:
-        lines.append("pose " + _fmt(pose))
-    for leg in traj.legs:
-        lines.append(f"leg {leg.duration!r} " + _fmt(leg.start) + " " + _fmt(leg.end))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_lines(path, [_TRAJ_HEADER]
+                       + [f"pose {textio.floats(pose)}" for pose in traj.static_poses]
+                       + [f"leg {textio.floats(leg.duration, leg.start, leg.end)}"
+                          for leg in traj.legs])
 
 
 def load_trajectory(path) -> TrajectorySpec:
-    with open(path) as fh:
-        raw = [(i + 1, line.strip()) for i, line in enumerate(fh)]
-    lines = [(n, l) for n, l in raw if l and not l.startswith("#")]
-    if not lines or lines[0][1] != _TRAJ_HEADER:
-        raise ParseError(f"{path}: missing '{_TRAJ_HEADER}' header")
     poses = []
     legs = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    for lineno, tokens in textio.records(path, _TRAJ_HEADER):
         try:
+            if tokens[0] not in ("pose", "leg"):
+                raise ValueError(f"unknown line tag {tokens[0]!r}")
+            values = [float(t) for t in tokens[1:]]
             if tokens[0] == "pose":
-                poses.append(np.array([float(t) for t in tokens[1:]]))
-            elif tokens[0] == "leg":
-                duration = float(tokens[1])
-                values = [float(t) for t in tokens[2:]]
-                if len(values) % 2 != 0:
-                    raise ParseError(
-                        f"{path}:{lineno}: leg needs equally long start/end vectors"
-                    )
-                half = len(values) // 2
-                legs.append(TrajectoryLeg(values[:half], values[half:], duration))
+                poses.append(np.array(values))
+            elif len(values) % 2 != 1:
+                raise ValueError("leg needs a duration and equally long "
+                                 "start/end vectors")
             else:
-                raise ParseError(f"{path}:{lineno}: unknown line tag {tokens[0]!r}")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+                half = len(values) // 2
+                legs.append(TrajectoryLeg(values[1:half + 1], values[half + 1:],
+                                          values[0]))
+        except (ValueError, IndexError) as exc:
+            raise textio.located(path, lineno, exc) from None
     return TrajectorySpec(legs=tuple(legs), static_poses=tuple(poses))
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).reshape(-1))
 
 
 def _rotvec_to_rotation(rotvec: np.ndarray) -> np.ndarray:

@@ -159,6 +159,27 @@ def test_evaluate_identical_models(rig, capsys):
     assert "position_error_mm 0.0" in out
 
 
+def test_duplicate_ee_line_exits_2(rig, capsys):
+    tmp, _, model_path, _ = rig
+    text = model_path.read_text()
+    (tmp / "twice.txt").write_text(text + text.splitlines()[-1] + "\n")
+    code = main(["evaluate", "--model", str(tmp / "twice.txt"),
+                 "--truth", str(model_path), "--probe-count", "3"])
+    assert code == 2
+    assert "twice.txt:4: unexpected ee line" in capsys.readouterr().err
+
+
+def test_export_ply_of_negative_grid_exits_2(rig, capsys):
+    tmp, *_ = rig
+    assert main(simulate_args(rig, tmp / "d0")) == 0
+    meta = tmp / "d0" / "meta"
+    meta.write_text(meta.read_text().replace("rows 16", "rows -16"))
+    code = main(["export-ply", str(tmp / "d0"), "--model", str(tmp / "model.txt"),
+                 "--out", str(tmp / "cloud.ply")])
+    assert code == 2
+    assert "meta:2: rows must not be negative" in capsys.readouterr().err
+
+
 def test_export_ply(rig, tmp_path):
     tmp, *_ = rig
     assert main(simulate_args(rig, tmp / "d0")) == 0

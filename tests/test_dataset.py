@@ -187,3 +187,48 @@ def test_parse_error_cell_out_of_grid(tmp_path, rng):
     points_file.write_text(points_file.read_text() + "5 0 1 0.0 0.0 0.0\n")
     with pytest.raises(ParseError, match=r"\(5, 0\)"):
         kc.load_dataset(tmp_path / "ds")
+
+
+def edit_dataset_file(path, name, edit):
+    file = path / name
+    file.write_text(edit(file.read_text()))
+
+
+@pytest.mark.parametrize("key", ["rows", "cols", "joint_count"])
+def test_negative_meta_count_is_a_parse_error(tmp_path, rng, key):
+    kc.save_dataset(make_dataset(rng, rows=2, cols=2), tmp_path / "ds")
+    edit_dataset_file(tmp_path / "ds", "meta",
+                      lambda text: text.replace(f"\n{key} 2", f"\n{key} -1"))
+    with pytest.raises(ParseError, match=f"meta:\\d: {key} must not be negative"):
+        kc.load_dataset(tmp_path / "ds")
+
+
+def test_dataset_files_skip_comments_and_blank_lines(tmp_path, rng):
+    ds = make_dataset(rng, rows=2, cols=3)
+    kc.save_dataset(ds, tmp_path / "ds")
+    for name in ("meta", "points", "joints"):
+        edit_dataset_file(tmp_path / "ds", name,
+                          lambda text: "# written by hand\n\n" + text.replace("\n", "\n  # cell\n", 1))
+    loaded = kc.load_dataset(tmp_path / "ds")
+    np.testing.assert_array_equal(loaded.valid, ds.valid)
+    np.testing.assert_array_equal(loaded.points, ds.points)
+    np.testing.assert_array_equal(loaded.joints, ds.joints)
+
+
+@pytest.mark.parametrize("flag", ["7", "-1", "1.0", "true"])
+def test_valid_flag_is_0_or_1(tmp_path, rng, flag):
+    kc.save_dataset(make_dataset(rng, rows=2, cols=2), tmp_path / "ds")
+    edit_dataset_file(tmp_path / "ds", "points",
+                      lambda text: text.replace("\n1 0 1 ", f"\n1 0 {flag} ")
+                                       .replace("\n1 0 0 ", f"\n1 0 {flag} "))
+    with pytest.raises(ParseError, match=f"points:3: flag must be 0 or 1, got '{flag}'"):
+        kc.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("name", ["points", "joints"])
+def test_repeated_cell_is_a_parse_error(tmp_path, rng, name):
+    kc.save_dataset(make_dataset(rng, rows=2, cols=2), tmp_path / "ds")
+    edit_dataset_file(tmp_path / "ds", name,
+                      lambda text: text + text.splitlines()[1] + "\n")
+    with pytest.raises(ParseError, match=f"{name}:5: cell \\(0, 1\\) is listed twice"):
+        kc.load_dataset(tmp_path / "ds")

@@ -299,3 +299,35 @@ def test_model_file_parse_errors(tmp_path):
     path.write_text("mcpc v1\nbase banana 0 0 0 0 1 1 1 1\nee 0 0 0 0 0 0 1 1 1 1 1 1\n")
     with pytest.raises(ParseError, match="banana"):
         kc.load_model(path)
+
+
+MODEL_BASE = "base revolute 0 0 0 0 1 0 1 0"
+MODEL_SEG = "seg revolute 0 0 0 0 0 0 0 0"
+MODEL_EE = "ee 0 0 0 0 0 0 0 0 0 0 0 0"
+
+
+def write_model_lines(path, *lines):
+    path.write_text("\n".join(["mcpc v1", *lines]) + "\n")
+
+
+def test_model_file_lines_run_base_seg_ee(tmp_path):
+    path = tmp_path / "model.txt"
+    write_model_lines(path, MODEL_BASE, MODEL_SEG, MODEL_EE)
+    _, mask = kc.load_model(path)
+    np.testing.assert_array_equal(mask.flags[:8], [1, 0, 1, 0, 0, 0, 0, 0])
+    # (lines, line number of the first one out of order)
+    for lines, lineno in [((MODEL_SEG, MODEL_BASE, MODEL_EE), 2),
+                          ((MODEL_BASE, MODEL_EE, MODEL_SEG), 4),
+                          ((MODEL_BASE, MODEL_SEG, MODEL_EE, MODEL_EE), 5),
+                          ((MODEL_BASE, MODEL_BASE, MODEL_EE), 3)]:
+        write_model_lines(path, *lines)
+        with pytest.raises(ParseError, match=f"model.txt:{lineno}: unexpected"):
+            kc.load_model(path)
+
+
+@pytest.mark.parametrize("bit", ["7", "-1", "1.0", "01"])
+def test_model_mask_bits_are_0_or_1(tmp_path, bit):
+    path = tmp_path / "model.txt"
+    write_model_lines(path, MODEL_BASE, f"seg revolute 0 0 0 0 0 {bit} 0 0", MODEL_EE)
+    with pytest.raises(ParseError, match=f"model.txt:3: flag must be 0 or 1, got '{bit}'"):
+        kc.load_model(path)

@@ -307,6 +307,21 @@ def test_scene_parse_errors(tmp_path):
         kc.load_scene(path)
 
 
+
+@pytest.mark.parametrize("line, message", [
+    ("plane 0 0 0 0 0 1 99 98", "expected 7 fields, got 9"),
+    ("plane 0 0 0 0 0", "expected 7 fields, got 6"),
+    ("sphere 0 0 0 1 5", "expected 5 fields, got 6"),
+    ("box 0 0 0 1 1 1 0", "box takes 6 or 9 numbers"),
+    ("mesh 3", "expected 1 fields, got 2"),
+])
+def test_scene_lines_take_exact_field_counts(tmp_path, line, message):
+    path = tmp_path / "scene.txt"
+    path.write_text(f"scene v1\n{line}\n")
+    with pytest.raises(ParseError, match=f"scene.txt:2: {message}"):
+        kc.load_scene(path)
+
+
 def test_trajectory_roundtrip(tmp_path):
     traj = kc.TrajectorySpec(legs=(
         kc.TrajectoryLeg([0.0, 0.0], [1.0, -1.0], 2.0),
@@ -322,6 +337,14 @@ def test_trajectory_roundtrip(tmp_path):
     kc.save_trajectory(static, path)
     loaded = kc.load_trajectory(path)
     np.testing.assert_array_equal(loaded.static_poses[0], [0.1, 0.2])
+
+
+def test_numpy_scalars_are_written_as_plain_floats(tmp_path):
+    kc.save_scene([Sphere((0.0, 0.0, 0.0), np.float64(0.3))], tmp_path / "scene.txt")
+    assert kc.load_scene(tmp_path / "scene.txt")[0].radius == 0.3
+    leg = kc.TrajectoryLeg([0.0], [1.0], np.float64(2.0))
+    kc.save_trajectory(kc.TrajectorySpec(legs=(leg,)), tmp_path / "traj.txt")
+    assert kc.load_trajectory(tmp_path / "traj.txt").legs[0].duration == 2.0
 
 
 def test_trajectory_validation():

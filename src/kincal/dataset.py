@@ -55,14 +55,15 @@ class ScanDataset:
             raise DimensionError("validity grid does not match the point grid")
         if joints.ndim != 3 or joints.shape[:2] != points.shape[:2]:
             raise DimensionError("joint grid does not match the point grid")
-        if np.any(valid) and not np.all(np.isfinite(joints[valid])):
+        valid_joints = joints[valid]
+        if not np.all(np.isfinite(valid_joints)):
             raise DimensionError("valid cells must carry finite joint vectors")
         if np.any(valid) and not np.all(np.isfinite(points[valid])):
             raise DimensionError("valid cells must carry finite points")
-        ids, rows = map(np.asarray, self.frames or _find_frames(joints, valid))
+        ids, rows = map(np.asarray, self.frames or _find_frames(valid_joints, valid))
         if (ids.shape != valid.shape
                 or np.any(np.where(valid, (ids < 0) | (ids >= len(rows)), ids != -1))
-                or not np.array_equal(rows[ids[valid]], joints[valid])):
+                or not np.array_equal(rows[ids[valid]], valid_joints)):
             raise DimensionError("frame table does not match the joint grid")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "valid", valid)
@@ -82,9 +83,9 @@ class ScanDataset:
         return self.joints.shape[2]
 
 
-def _find_frames(joints, valid) -> FrameTable:
-    """Number the distinct joint rows of the valid cells in sorted order."""
-    rows = joints[valid]
+def _find_frames(rows, valid) -> FrameTable:
+    """Number the distinct joint ``rows`` of the ``valid`` cells in sorted
+    order."""
     order = np.arange(len(rows))
     for column in rows.T[::-1]:
         order = order[np.argsort(column[order], kind="stable")]

@@ -398,6 +398,9 @@ def load_model(path) -> tuple[KinematicModel, ParamMask]:
             else:
                 textio.expect_fields(tokens, 10)
                 kind = None if tokens[1] == "none" else JointKind(tokens[1])
+                if tag == "seg" and None in (kind, base.joint):
+                    raise ValueError("a seg line needs a joint, and so does "
+                                     "the base line")
                 seg = Segment(*map(float, tokens[2:6]), joint=kind)
                 if tag == "base":
                     base = seg

@@ -2,8 +2,11 @@
 
 For every ordered pair of filtered clouds (i < j) a k-d tree over cloud
 j answers one exact nearest-neighbor query per point of cloud i.  The
-tree is rebuilt from scratch by every caller: clouds deform between ICP
-iterations, so nothing may be cached across them.
+queries of all clouds i < j go to cloud j's tree in one batch, and a
+search radius drops the points that cannot find a neighbor inside it
+(Rusinkiewicz & Levoy, "Efficient Variants of the ICP Algorithm", 2001).
+The tree is rebuilt from scratch by every caller: clouds deform between
+ICP iterations, so nothing may be cached across them.
 
 A ``MatchSet`` stacks all clouds into one point array, in dataset-id
 order, and stores each candidate as two rows of that stack.  The stack
@@ -14,7 +17,6 @@ candidates by dataset.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -40,23 +42,27 @@ class SpatialIndex:
         self.cloud = cloud
         self._tree = cKDTree(cloud.positions) if len(cloud) else None
 
-    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, points: np.ndarray,
+              bound: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the nearest indexed point per query.
 
-        Empty index: returns empty results for zero queries and index -1
-        with infinite distance otherwise.
+        A query with no indexed point closer than ``bound``, or any query
+        of an empty index, gets index -1 and infinite distance.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self._tree is None:
             return (np.full(points.shape[0], -1, dtype=int),
                     np.full(points.shape[0], np.inf))
         k = min(2, len(self.cloud))
-        dist, idx = self._tree.query(points, k=k, workers=QUERY_WORKERS)
-        if k == 1:
-            return idx.reshape(-1).astype(int), dist.reshape(-1)
-        best_idx = idx[:, 0].astype(int)
+        dist, idx = self._tree.query(points, k=k, distance_upper_bound=bound,
+                                     workers=QUERY_WORKERS)
+        dist, idx = dist.reshape(len(points), k), idx.reshape(len(points), k)
+        best_idx = np.where(np.isfinite(dist[:, 0]), idx[:, 0], -1)
         best_dist = dist[:, 0]
-        ties = np.flatnonzero(dist[:, 1] == best_dist)
+        if k == 1:
+            return best_idx, best_dist
+        # a miss has inf in both columns, which is no tie
+        ties = np.flatnonzero((dist[:, 1] == best_dist) & np.isfinite(best_dist))
         for row in ties:
             # the ball compares squared distances with the squared radius,
             # which can round below them: grow it so no tied point drops out
@@ -94,17 +100,23 @@ class MatchSet:
         return self.a.size
 
     def pair_counts(self) -> dict:
-        """Candidates per (a dataset id, b dataset id) pair that has any."""
-        return dict(Counter(zip(self.dataset[self.a].tolist(),
-                                self.dataset[self.b].tolist())))
+        """Queries per (lower, higher dataset id) pair of non-empty clouds:
+        the size of the lower cloud, whether or not its points found a
+        candidate inside the search radius."""
+        ids, sizes = np.unique(self.dataset, return_counts=True)
+        return {(i, j): size for (i, size), (j, _) in
+                combinations(zip(ids.tolist(), sizes.tolist()), 2)}
 
 
-def match_all(clouds) -> MatchSet:
+def match_all(clouds, radius: float = np.inf) -> MatchSet:
     """Candidates over all dataset pairs i < j (bundle adjustment style).
 
-    Pair (i, j) holds one unvalidated candidate per point of cloud i: its
-    nearest point of cloud j.  Candidates run pair by pair in dataset-id
-    order, then point by point; pairs with an empty cloud hold none.
+    Pair (i, j) holds one unvalidated candidate per point of cloud i whose
+    nearest point of cloud j lies within ``radius``: that nearest point.
+    Candidates run pair by pair in dataset-id order, then point by point;
+    pairs with an empty cloud hold none.  The default radius keeps every
+    point.  Each point within ``radius`` gets the same candidate as with
+    no radius, so validating with d_max <= radius keeps the same matches.
     """
     clouds = sorted(clouds, key=lambda cloud: cloud.dataset_id)
     if len(clouds) < 2:
@@ -112,19 +124,34 @@ def match_all(clouds) -> MatchSet:
     ids = [cloud.dataset_id for cloud in clouds]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("cloud dataset ids must be unique")
+    if not radius > 0.0:
+        raise InvalidParameterError(f"radius must be positive, got {radius}")
+    # the tree keeps only neighbors strictly closer than its bound; the
+    # slack keeps a point at exactly ``radius``
+    bound = radius * (1.0 + 1e-6)
     sizes = [len(cloud) for cloud in clouds]
     offsets = np.cumsum([0] + sizes)
-    indexes = {j: build_index(clouds[j]) for j in range(1, len(clouds))}
+    positions = np.concatenate([cloud.positions for cloud in clouds])
 
+    # one query per target cloud j over the points of all clouds i < j
+    # inside j's bounding box grown by the bound; the rows come out in
+    # (j, i, point) order
     parts_a, parts_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for i, j in combinations(range(len(clouds)), 2):
-        if sizes[i] and sizes[j]:
-            idx, _ = indexes[j].query(clouds[i].positions)
-            parts_a.append(np.arange(offsets[i], offsets[i + 1]))
-            parts_b.append(offsets[j] + idx)
-    return MatchSet(np.concatenate(parts_a), np.concatenate(parts_b),
-                    np.repeat(ids, sizes),
-                    np.concatenate([cloud.positions for cloud in clouds]),
+    for j in range(1, len(clouds)):
+        if not (sizes[j] and offsets[j]):
+            continue
+        target = clouds[j].positions
+        lo, hi = target.min(axis=0) - bound, target.max(axis=0) + bound
+        near = positions[:offsets[j]]
+        rows = np.flatnonzero(np.all((near >= lo) & (near <= hi), axis=1))
+        idx, _ = build_index(clouds[j]).query(near[rows], bound)
+        hit = idx >= 0
+        parts_a.append(rows[hit])
+        parts_b.append(offsets[j] + idx[hit])
+    a, b = np.concatenate(parts_a), np.concatenate(parts_b)
+    # a stable sort by source cloud gives (i, j, point) order
+    order = np.argsort(np.searchsorted(offsets, a, side="right"), kind="stable")
+    return MatchSet(a[order], b[order], np.repeat(ids, sizes), positions,
                     np.concatenate([cloud.normals for cloud in clouds]),
                     np.concatenate([cloud.rows for cloud in clouds]),
                     np.concatenate([cloud.cols for cloud in clouds]))

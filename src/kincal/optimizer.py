@@ -354,9 +354,9 @@ def calibrate(datasets, k_init: KinematicModel,
 
     for _ in range(cfg.i_max):
         candidates = match_all(
-            filter_cloud(project_to_base(ds, anchors.get(ds_id, k_hat)),
-                         cfg.n, cfg.m, cfg.g_min, dataset_id=ds_id)
-            for ds_id, ds in enumerate(datasets_hat))
+            (filter_cloud(project_to_base(ds, anchors.get(ds_id, k_hat)),
+                          cfg.n, cfg.m, cfg.g_min, dataset_id=ds_id)
+             for ds_id, ds in enumerate(datasets_hat)), d_max_hat)
         matches = validate_matches(candidates, d_max_hat, cfg.f_min)
         if len(matches) == 0:
             counts = candidates.pair_counts()

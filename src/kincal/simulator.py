@@ -99,9 +99,11 @@ class Box:
         inside = np.abs(local_o) <= self.half_extents
         # parallel-inside spans the whole line, parallel-outside is empty
         t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
-        t_hi = np.where(parallel, np.where(inside, np.inf, np.inf), t_hi)
-        t_near = np.max(np.minimum(t_lo, t_hi), axis=1)
-        t_far = np.min(np.maximum(t_lo, t_hi), axis=1)
+        t_hi = np.where(parallel, np.inf, t_hi)
+        # slab by slab: a reduction over an axis of length 3 costs more
+        near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+        t_near = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
+        t_far = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
         ok = t_far >= np.maximum(t_near, _RAY_EPS)
         t = np.where(t_near > _RAY_EPS, t_near, t_far)
         return np.where(ok & (t > _RAY_EPS), t, np.inf)
@@ -499,6 +501,8 @@ def load_trajectory(path) -> TrajectorySpec:
         try:
             if tokens[0] not in ("pose", "leg"):
                 raise ValueError(f"unknown line tag {tokens[0]!r}")
+            if legs if tokens[0] == "pose" else poses:
+                raise ValueError("pose and leg lines cannot be mixed")
             values = [float(t) for t in tokens[1:]]
             if tokens[0] == "pose":
                 poses.append(np.array(values))
@@ -511,6 +515,8 @@ def load_trajectory(path) -> TrajectorySpec:
                                           values[0]))
         except (ValueError, IndexError) as exc:
             raise textio.located(path, lineno, exc) from None
+    if not (poses or legs):
+        raise ParseError(f"{path}: trajectory needs pose or leg lines")
     return TrajectorySpec(legs=tuple(legs), static_poses=tuple(poses))
 
 

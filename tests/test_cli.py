@@ -169,6 +169,25 @@ def test_duplicate_ee_line_exits_2(rig, capsys):
     assert "twice.txt:4: unexpected ee line" in capsys.readouterr().err
 
 
+def test_model_seg_without_joint_exits_2(rig, capsys):
+    tmp, _, model_path, _ = rig
+    lines = model_path.read_text().splitlines()
+    lines.insert(2, "seg none 0 0 0 0 0 0 0 0")
+    (tmp / "nojoint.txt").write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--model", str(tmp / "nojoint.txt"),
+                 "--truth", str(model_path), "--probe-count", "3"])
+    assert code == 2
+    assert "nojoint.txt:3: a seg line needs a joint" in capsys.readouterr().err
+
+
+def test_trajectory_mixing_pose_and_leg_exits_2(rig, capsys):
+    tmp, _, _, traj_path = rig
+    traj_path.write_text(traj_path.read_text() + "leg 1.0\n")
+    code = main(simulate_args(rig, tmp / "ds"))
+    assert code == 2
+    assert "traj.txt:3: pose and leg lines cannot be mixed" in capsys.readouterr().err
+
+
 def test_export_ply_of_negative_grid_exits_2(rig, capsys):
     tmp, *_ = rig
     assert main(simulate_args(rig, tmp / "d0")) == 0

@@ -325,6 +325,17 @@ def test_model_file_lines_run_base_seg_ee(tmp_path):
             kc.load_model(path)
 
 
+@pytest.mark.parametrize("base, seg", [
+    (MODEL_BASE, "seg none 0 0 0 0 0 0 0 0"),
+    ("base none 0 0 0 0 1 0 1 0", MODEL_SEG),
+])
+def test_seg_lines_need_joints(tmp_path, base, seg):
+    path = tmp_path / "model.txt"
+    write_model_lines(path, base, seg, MODEL_EE)
+    with pytest.raises(ParseError, match="model.txt:3: a seg line needs a joint"):
+        kc.load_model(path)
+
+
 @pytest.mark.parametrize("bit", ["7", "-1", "1.0", "01"])
 def test_model_mask_bits_are_0_or_1(tmp_path, bit):
     path = tmp_path / "model.txt"

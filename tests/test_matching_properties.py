@@ -5,6 +5,7 @@ equidistant candidates (ties, including duplicate points) are common.
 Normals are axis vectors, so normal agreements are exactly -1, 0 or 1.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -104,3 +105,68 @@ def test_validation_keeps_the_pairs_a_per_pair_filter_keeps(cs, d_max, f_min):
             and qa.normals[p] @ qb.normals[q] >= f_min]
     ms = kc.validate_matches(kc.match_all(cs), d_max, f_min)
     assert list(zip(ms.a.tolist(), ms.b.tolist())) == kept
+
+
+# --- bounded search -------------------------------------------------------------
+# Radii that are grid distances, so candidates at exactly the radius are
+# common.  Grid distances are sqrt(k) / 2, far more than 1e-6 relative
+# apart, so no candidate lies just beyond a radius.
+RADII = [0.5, float(np.sqrt(0.5)), 1.0, 1.5]
+
+
+def within(ms, radius):
+    """``ms`` restricted to the candidates within ``radius``, in order."""
+    dist = np.linalg.norm(ms.positions[ms.a] - ms.positions[ms.b], axis=1)
+    keep = dist <= radius
+    return ms.a[keep], ms.b[keep]
+
+
+@settings(deadline=None)
+@given(clouds(), st.sampled_from(RADII))
+def test_bounded_candidates_are_the_unbounded_ones_within_the_radius(cs, radius):
+    full, bounded = kc.match_all(cs), kc.match_all(cs, radius)
+    a, b = within(full, radius)
+    np.testing.assert_array_equal(bounded.a, a)
+    np.testing.assert_array_equal(bounded.b, b)
+    for name in ("dataset", "positions", "normals", "rows", "cols"):
+        np.testing.assert_array_equal(getattr(bounded, name), getattr(full, name))
+    # queries per pair, not candidates: the same with and without a radius
+    assert bounded.pair_counts() == full.pair_counts()
+    for d_max in [d for d in RADII if d <= radius]:
+        for f_min in (-1.0, 0.0, 1.0):
+            kept = kc.validate_matches(bounded, d_max, f_min)
+            expected = kc.validate_matches(full, d_max, f_min)
+            np.testing.assert_array_equal(kept.a, expected.a)
+            np.testing.assert_array_equal(kept.b, expected.b)
+
+
+@settings(deadline=None)
+@given(clouds(), st.sampled_from(RADII))
+def test_bounded_query_misses_get_minus_one_and_inf(cs, bound):
+    index = kc.build_index(next(cloud for cloud in cs if len(cloud)))
+    points = np.concatenate([cloud.positions for cloud in cs])
+    full_idx, full_dist = index.query(points)
+    idx, dist = index.query(points, bound)
+    inside, beyond = full_dist < bound, full_dist > bound
+    np.testing.assert_array_equal(idx[inside], full_idx[inside])
+    np.testing.assert_array_equal(dist[inside], full_dist[inside])
+    assert np.all(idx[beyond] == -1) and np.all(dist[beyond] == np.inf)
+    # at exactly the bound the tree may keep the point or drop it
+    at = ~inside & ~beyond
+    assert np.all((idx[at] == full_idx[at]) | (idx[at] == -1))
+
+
+def test_equidistant_points_beyond_the_bound_are_a_miss():
+    cloud = FilteredCloud(dataset_id=0, positions=np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+                          normals=AXES[[2, 2]], rows=np.arange(2), cols=np.zeros(2))
+    idx, dist = kc.build_index(cloud).query(np.zeros((1, 3)), 0.5)
+    assert idx.tolist() == [-1]
+    assert dist.tolist() == [np.inf]
+
+
+def test_match_all_rejects_a_radius_that_is_not_positive():
+    cloud = FilteredCloud(dataset_id=0, positions=np.zeros((1, 3)),
+                          normals=AXES[[2]], rows=np.arange(1), cols=np.zeros(1))
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(kc.InvalidParameterError):
+            kc.match_all([cloud, replace(cloud, dataset_id=1)], radius)

@@ -303,6 +303,43 @@ def test_calibrate_matching_failure_reports_pairs():
     assert (0, 1) in info.value.pair_counts
 
 
+def first_clouds(datasets, model, cfg):
+    return [kc.filter_cloud(kc.project_to_base(ds, model), cfg.n, cfg.m,
+                            cfg.g_min, dataset_id=i)
+            for i, ds in enumerate(datasets)]
+
+
+def test_matching_failure_counts_the_queries_of_each_pair():
+    truth = seven_joint_arm()
+    datasets = simulate_depth_scans(truth, [POSE_A, POSE_B, POSE_C])
+    cfg = kc.CalibrationConfig(d_max=1e-9)
+    with pytest.raises(MatchingFailure) as info:
+        kc.calibrate(datasets, truth, cfg)
+    sizes = [len(cloud) for cloud in first_clouds(datasets, truth, cfg)]
+    assert info.value.pair_counts == {(0, 1): sizes[0], (0, 2): sizes[0],
+                                      (1, 2): sizes[1]}
+
+
+def test_bounded_matching_validates_the_same_pairs_on_arm_scans():
+    """First-iteration clouds of noisy scans seen through a perturbed model,
+    as in the noise-scaling acceptance run."""
+    truth = seven_joint_arm()
+    mask = kc.default_mask(truth)
+    k_init = kc.perturb_model(truth, mask, np.radians(2.0), 0.005, seed=4)
+    datasets = simulate_depth_scans(truth, [POSE_A, POSE_B, POSE_C],
+                                    noise_abs=0.0025)
+    cfg = kc.CalibrationConfig()
+    clouds = first_clouds(datasets, k_init, cfg)
+    bounded = kc.match_all(clouds, cfg.d_max)
+    full = kc.match_all(clouds)
+    assert len(bounded) < len(full)
+    kept = kc.validate_matches(bounded, cfg.d_max, cfg.f_min)
+    expected = kc.validate_matches(full, cfg.d_max, cfg.f_min)
+    assert len(expected) > 0
+    np.testing.assert_array_equal(kept.a, expected.a)
+    np.testing.assert_array_equal(kept.b, expected.b)
+
+
 def test_calibrate_mask_bit_exactness_and_report():
     truth = seven_joint_arm()
     mask = kc.default_mask(truth)

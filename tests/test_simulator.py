@@ -339,6 +339,20 @@ def test_trajectory_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.static_poses[0], [0.1, 0.2])
 
 
+@pytest.mark.parametrize("lines, location", [
+    (["pose 0.1 0.2", "leg 1 0 0 1 1"], ":3: pose and leg lines cannot be mixed"),
+    (["leg 1 0 1", "# then", "pose 0.5"], ":4: pose and leg lines cannot be mixed"),
+    ([], ": trajectory needs pose or leg lines"),
+    (["# nothing"], ": trajectory needs pose or leg lines"),
+])
+def test_trajectory_lines_are_all_pose_or_all_leg(tmp_path, lines, location):
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join(["trajectory v1", *lines]) + "\n")
+    with pytest.raises(ParseError) as info:
+        kc.load_trajectory(path)
+    assert str(info.value) == f"{path}{location}"
+
+
 def test_numpy_scalars_are_written_as_plain_floats(tmp_path):
     kc.save_scene([Sphere((0.0, 0.0, 0.0), np.float64(0.3))], tmp_path / "scene.txt")
     assert kc.load_scene(tmp_path / "scene.txt")[0].radius == 0.3
